@@ -70,7 +70,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     score,
-    unnormalized_log_prob,
 )
 from .noise import NoiseDistribution, from_counts, sample, uniform
 from .trainer import (

@@ -87,12 +87,6 @@ class Dataset:
     def __getitem__(self, i: int) -> TrainingExample:
         return TrainingExample(self.contexts[i], int(self.targets[i]))
 
-    @property
-    def examples(self):
-        """Iterate examples one at a time (bulk access uses the arrays)."""
-        for i in range(len(self)):
-            yield self[i]
-
 
 def tokenize_line(text: str, lowercase: bool = True) -> list[str]:
     """Split a line into maximal non-whitespace runs, optionally lowercased."""

@@ -31,9 +31,10 @@ class DivergenceError(NcelmError):
     """A parameter tensor became non-finite during an SGD step.
 
     Carries the offending tensor name and, when raised from a training
-    run, the estimator, epoch, and a reference to the last checkpoint
-    written before the failing update (a file path if checkpointing was
-    enabled, otherwise an in-memory parameter snapshot).
+    run, the estimator, epoch, and last_good_checkpoint: the path of the
+    last checkpoint written before the failing update, or None when
+    checkpointing was off or no checkpoint had been written yet. No
+    parameter snapshot is kept in memory.
     """
 
     def __init__(
@@ -55,4 +56,5 @@ class DivergenceError(NcelmError):
 
 
 class CheckpointFormatError(NcelmError):
-    """A checkpoint file has bad magic bytes or an unsupported version."""
+    """A checkpoint file has bad magic bytes, an unsupported version or
+    mode flag, or is cut short or followed by trailing bytes."""

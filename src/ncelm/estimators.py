@@ -28,6 +28,7 @@ from scipy.special import expit, log_expit, logsumexp
 
 from .corpus import Dataset
 from .errors import DegenerateWeightsError, SupportError
+from .evaluation import _target_log_probs
 from .model import LblParams, NormalizerStore, predicted_representation_batch
 from .noise import NoiseDistribution, sample as noise_sample
 
@@ -241,11 +242,7 @@ def _check_target_support(targets, log_pn_targets):
 def ml_objective(params: LblParams, normalizers: NormalizerStore, batch) -> float:
     """Exact batch log-likelihood under explicit normalization."""
     contexts, targets = _batch_arrays(batch)
-    qh64 = predicted_representation_batch(params, contexts).astype(np.float64)
-    scores = qh64 @ params.target_vectors.astype(np.float64).T
-    scores += params.biases.astype(np.float64)
-    log_z = logsumexp(scores, axis=1)
-    return float(scores[np.arange(targets.shape[0]), targets].sum() - log_z.sum())
+    return float(_target_log_probs(params, contexts, targets).sum())
 
 
 def _nce_parts(params, normalizers, batch, noise, k, rng):

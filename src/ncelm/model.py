@@ -15,6 +15,7 @@ float64 storage end to end.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -222,48 +223,6 @@ def log_distribution_batch(
     return out
 
 
-def unnormalized_log_prob(
-    params: LblParams, normalizers: NormalizerStore, context, w: int
-) -> float:
-    """Score plus the context's stored log-normalizer (0 in fixed-one mode)."""
-    qhat = predicted_representation(params, context)
-    return score(params, qhat, w) + normalizers.lookup(context)
-
-
-@dataclass
-class ScoreGradients:
-    """Gradient pieces of one score s(w, h) with respect to each tensor.
-
-    wrt_context_vectors is per context position; a caller accumulating
-    into word rows must sum positions that share a word id.
-    """
-
-    wrt_target_vector: np.ndarray
-    wrt_bias: float
-    wrt_context_vectors: np.ndarray
-    wrt_context_transforms: np.ndarray
-
-
-def score_gradients(params: LblParams, context, w: int) -> ScoreGradients:
-    """Per-parameter gradients of the score of word w in the given context."""
-    context = np.asarray(context, dtype=np.int64)
-    rows = params.context_vectors[context]
-    qhat = predicted_representation(params, context)
-    q_w = params.target_vectors[w]
-    if params.matrix_mode == "full":
-        wrt_ctx = np.einsum("cij,j->ci", params.context_transforms.transpose(0, 2, 1), q_w)
-        wrt_transforms = q_w[None, :, None] * rows[:, None, :]
-    else:
-        wrt_ctx = params.context_transforms * q_w[None, :]
-        wrt_transforms = q_w[None, :] * rows
-    return ScoreGradients(
-        wrt_target_vector=qhat,
-        wrt_bias=1.0,
-        wrt_context_vectors=wrt_ctx,
-        wrt_context_transforms=wrt_transforms,
-    )
-
-
 def _mode_flags(params: LblParams, normalizers: NormalizerStore) -> tuple[int, int]:
     return MATRIX_MODES.index(params.matrix_mode), NORMALIZER_MODES.index(normalizers.mode)
 
@@ -300,14 +259,31 @@ def save_checkpoint(path, params: LblParams, normalizers: NormalizerStore) -> No
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[LblParams, NormalizerStore]:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint.
+
+    A file cut short anywhere raises CheckpointFormatError naming the
+    field it ends in.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(CHECKPOINT_MAGIC):
         raise CheckpointFormatError("bad magic bytes; not a model checkpoint")
     off = len(CHECKPOINT_MAGIC)
-    version, v, d, c, mflag, nflag = struct.unpack_from("<6I", data, off)
-    off += struct.calcsize("<6I")
+
+    def take(nbytes: int, what: str) -> int:
+        """Offset of the next nbytes, which must all be in the file."""
+        nonlocal off
+        if len(data) - off < nbytes:
+            raise CheckpointFormatError(
+                f"checkpoint truncated in {what}: needs {nbytes} bytes at "
+                f"offset {off}, file has {len(data) - off}"
+            )
+        off += nbytes
+        return off - nbytes
+
+    version, v, d, c, mflag, nflag = struct.unpack_from(
+        "<6I", data, take(struct.calcsize("<6I"), "header")
+    )
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(
             f"unsupported checkpoint format version {version} "
@@ -317,30 +293,28 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[LblParams, NormalizerStore]
         raise CheckpointFormatError("unknown mode flag in checkpoint header")
     matrix_mode = MATRIX_MODES[mflag]
 
-    def take(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=off).reshape(shape)
-        off += 4 * count
-        return arr.astype(dtype)
+    def table(shape, what):
+        count = math.prod(shape)
+        start = take(4 * count, what)
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
+        return arr.reshape(shape).astype(dtype)
 
-    ctx = take((v, d))
-    tgt = take((v, d))
+    ctx = table((v, d), "context_vectors")
+    tgt = table((v, d), "target_vectors")
     tshape = (c, d, d) if matrix_mode == "full" else (c, d)
-    transforms = take(tshape)
-    biases = take((v,))
+    transforms = table(tshape, "context_transforms")
+    biases = table((v,), "biases")
     params = LblParams(ctx, tgt, transforms, biases, matrix_mode, d, c)
 
     normalizers = NormalizerStore(NORMALIZER_MODES[nflag])
     if normalizers.mode == "per-context":
-        (count,) = struct.unpack_from("<I", data, off)
-        off += 4
-        for _ in range(count):
-            key = np.frombuffer(data, dtype="<u4", count=c, offset=off)
-            off += 4 * c
-            value = np.frombuffer(data, dtype="<f4", count=1, offset=off)[0]
-            off += 4
-            normalizers.table[tuple(int(i) for i in key)] = float(value)
+        (count,) = struct.unpack_from("<I", data, take(4, "normalizer count"))
+        record = np.dtype([("key", "<u4", (c,)), ("value", "<f4")])
+        start = take(count * record.itemsize, "normalizer records")
+        records = np.frombuffer(data, dtype=record, count=count, offset=start)
+        normalizers.table = dict(zip(
+            map(tuple, records["key"].tolist()), records["value"].tolist()
+        ))
     if off != len(data):
         raise CheckpointFormatError("trailing bytes after checkpoint payload")
     return params, normalizers

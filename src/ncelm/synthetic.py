@@ -1,10 +1,10 @@
 """Ground-truth model construction and corpus sampling.
 
-Builds a log-bilinear model with known parameters, draws corpora and
-fill-in-the-blank problems from it, and exposes its exact conditional
-distributions. Everything here runs in float64; a model we sample from
-is also the oracle we measure estimators against, so its probabilities
-should carry no storage noise.
+Builds a log-bilinear model with known parameters and draws corpora
+and fill-in-the-blank problems from it. Everything here runs in
+float64; a model we sample from is also the oracle we measure
+estimators against, so its probabilities should carry no storage
+noise.
 """
 
 from __future__ import annotations
@@ -75,18 +75,6 @@ def make_vocab(vocab_size: int, counts: np.ndarray | None = None) -> Vocabulary:
     if counts is None:
         counts = np.zeros(vocab_size, dtype=np.int64)
     return Vocabulary(words=make_words(vocab_size), counts=counts)
-
-
-def conditional_distribution(params: LblParams, context) -> np.ndarray:
-    """Exact P(w | context) for every w, in float64."""
-    ctx = np.asarray(context, dtype=np.int64)[None, :]
-    qhat = _predicted64(params, ctx)[0]
-    scores = params.target_vectors.astype(np.float64) @ qhat
-    scores += params.biases.astype(np.float64)
-    scores -= scores.max()
-    probs = np.exp(scores)
-    probs /= probs.sum()
-    return probs
 
 
 def _batch_distributions(params, contexts):

@@ -35,6 +35,10 @@ from ncelm.synthetic import (
 )
 from ncelm.trainer import TrainConfig, benchmark_update, train
 
+# Lets `pytest -m "not acceptance"` run the unit suite alone; the
+# default run still collects and runs every test here.
+pytestmark = pytest.mark.acceptance
+
 # Shared corpus scale: ~100K training tokens from a known generating model.
 VOCAB_SIZE = 2000
 DIM = 16

@@ -109,6 +109,20 @@ def test_ppl_rejects_non_checkpoint_files(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_ppl_rejects_truncated_checkpoint(workdir, capsys, tmp_path):
+    root, _, valid_txt, vocab_path = workdir
+    out, rc = _train(workdir, "truncated-model.ckpt")
+    assert rc == 0
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(out.read_bytes()[:-3])
+    capsys.readouterr()
+    rc = main(["ppl", str(cut), str(valid_txt), "--vocab", str(vocab_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: checkpoint truncated in biases" in err
+    assert "Traceback" not in err
+
+
 def test_complete_prints_choices_and_accuracy(workdir, capsys):
     root, _, _, vocab_path = workdir
     out, rc = _train(workdir, "complete-model.ckpt")

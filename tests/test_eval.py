@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import ncelm.evaluation as evaluation
 from ncelm.corpus import OOS_ID, Vocabulary, extract_pairs
@@ -18,6 +21,13 @@ from ncelm.evaluation import (
     write_completion_problems,
 )
 from ncelm.model import LblParams, full_distribution, init_params
+from ncelm.synthetic import (
+    corpus_vocab,
+    generate_completion_problems,
+    generate_sentences,
+    make_truth_params,
+)
+from ncelm.trainer import TrainConfig, train
 
 
 def _bias_only_params(log_weights, context_size=2):
@@ -218,3 +228,116 @@ def test_predicted_speedup_formulas():
 
 def test_format_report_layout():
     assert format_report({"ppl": 12.5, "n": 3}) == "ppl=12.5\nn=3\n"
+
+
+KERNEL_VOCAB = 2000
+BUFFER_ROWS = evaluation._SCORE_BUFFER_ELEMS // KERNEL_VOCAB
+
+
+def _kernel_params(matrix_mode, dtype, bias_offset=0.0, seed=0):
+    """Random parameters with non-trivial transforms and biases."""
+    rng = np.random.default_rng(seed)
+    params = init_params(
+        KERNEL_VOCAB, 5, 2, matrix_mode=matrix_mode, init_scale=0.8,
+        seed=seed, dtype=np.float64,
+    )
+    params.context_transforms += rng.normal(0.0, 0.3, params.context_transforms.shape)
+    params.biases[:] = bias_offset + rng.normal(0.0, 2.0, KERNEL_VOCAB)
+    return params.astype(dtype)
+
+
+def _reference_log_probs(params, contexts, targets):
+    """Independent float64 log-softmax over the full score matrix."""
+    p = params.astype(np.float64)
+    rows = p.context_vectors[contexts]
+    if p.matrix_mode == "full":
+        qhat = np.einsum("ncj,cij->ni", rows, p.context_transforms)
+    else:
+        qhat = np.einsum("ncj,cj->nj", rows, p.context_transforms)
+    scores = qhat @ p.target_vectors.T + p.biases
+    return scores[np.arange(targets.size), targets] - logsumexp(scores, axis=1)
+
+
+def _random_rows(n, seed=1):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(0, KERNEL_VOCAB, size=(n, 2)),
+        rng.integers(0, KERNEL_VOCAB, size=n),
+    )
+
+
+@pytest.mark.parametrize("matrix_mode", ["full", "diagonal"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "n_rows", [1, BUFFER_ROWS - 1, BUFFER_ROWS, BUFFER_ROWS + 1]
+)
+def test_kernel_matches_full_matrix_logsumexp(matrix_mode, dtype, n_rows):
+    params = _kernel_params(matrix_mode, dtype)
+    before = params.copy()
+    contexts, targets = _random_rows(n_rows)
+    got = evaluation._target_log_probs(params, contexts, targets)
+    want = _reference_log_probs(params, contexts, targets)
+    assert got.shape == (n_rows,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for name, tensor in before.tensors().items():
+        after = params.tensors()[name]
+        assert after.dtype == tensor.dtype, name
+        assert np.array_equal(after, tensor), name
+
+
+@pytest.mark.parametrize("offset", [1e3, -1e3])
+def test_kernel_handles_scores_near_1e3_without_overflow(offset):
+    params = _kernel_params("full", np.float64, bias_offset=offset)
+    contexts, targets = _random_rows(BUFFER_ROWS + 1, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = evaluation._target_log_probs(params, contexts, targets)
+    want = _reference_log_probs(params, contexts, targets)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_completion_converts_once_and_matches_per_call_scores():
+    truth = make_truth_params(30, 4, 2, seed=5, feature_scale=0.5)
+    rng = np.random.default_rng(8)
+    sents = generate_sentences(truth, 150, 4, 9, rng)
+    vocab = corpus_vocab(30, sents)
+    cfg = TrainConfig(estimator="nce", k=2, dim=4, minibatch_size=16,
+                      initial_lr=0.1, max_epochs=3, seed=9)
+    params, _, _ = train(
+        cfg, extract_pairs(sents[:130], 2), extract_pairs(sents[130:], 2), vocab
+    )
+    assert params.dtype == np.float32
+    problems = generate_completion_problems(truth, 25, rng)
+
+    def per_call_score(problem, candidate):
+        sent = list(problem.sentence)
+        sent[problem.blank_position] = candidate
+        pairs = extract_pairs([sent], 2, "oos-padding")
+        return sum(
+            context_log_prob(params, ctx, int(tgt))
+            for ctx, tgt in zip(pairs.contexts, pairs.targets)
+        )
+
+    expected = [
+        int(np.argmax([per_call_score(p, c) for c in p.candidates]))
+        for p in problems
+    ]
+    conversions = []
+    real_astype = LblParams.astype
+
+    def counting_astype(self, dtype):
+        conversions.append(dtype)
+        return real_astype(self, dtype)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LblParams, "astype", counting_astype)
+        choices, _ = completion_accuracy(params, problems, mode="uni")
+    assert conversions == [np.float64]
+    assert choices == expected
+    for p in problems:
+        for c in p.candidates:
+            assert score_sentence_unidirectional(
+                params, p.sentence, p.blank_position, c
+            ) == per_call_score(p, c)

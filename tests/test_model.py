@@ -189,3 +189,33 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(data + b"junk")
     with pytest.raises(CheckpointFormatError, match="trailing"):
         load_checkpoint(trailing)
+
+
+@pytest.mark.parametrize("mode", ["fixed-one", "per-context"])
+def test_checkpoint_truncated_at_every_offset_names_the_field(tmp_path, mode):
+    p = init_params(5, 3, 2, seed=4)
+    store = NormalizerStore(mode)
+    if mode == "per-context":
+        store.table.update({(1, 2): -0.5, (3, 0): 0.25, (4, 4): 1.5})
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, p, store)
+    data = path.read_bytes()
+    cut_path = tmp_path / "cut.ckpt"
+    fields = set()
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(CheckpointFormatError) as info:
+            load_checkpoint(cut_path)
+        message = str(info.value)
+        if cut < len(CHECKPOINT_MAGIC):
+            assert "magic" in message
+        else:
+            assert message.startswith("checkpoint truncated in "), message
+            fields.add(message.split(" in ", 1)[1].split(":")[0])
+    expected = {
+        "header", "context_vectors", "target_vectors",
+        "context_transforms", "biases",
+    }
+    if mode == "per-context":
+        expected |= {"normalizer count", "normalizer records"}
+    assert fields == expected

@@ -51,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument(
-        "--workers", type=int, default=1, help="gradient worker count"
-    )
-    parser.add_argument(
         "--precision",
         type=int,
         choices=(32, 64),
@@ -205,7 +202,6 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         normalizer_mode=args.normalizer,
         ess_floor=args.ess_floor,
-        worker_count=args.workers,
         dim=args.dim,
         matrix_mode=args.matrix,
         init_scale=args.init_scale,

@@ -31,8 +31,9 @@ class DivergenceError(NcelmError):
     """A parameter tensor became non-finite during an SGD step.
 
     Carries the offending tensor name and, when raised from a training
-    run, the estimator, epoch, and last_good_checkpoint: the path of the
-    last checkpoint written before the failing update, or None when
+    run, the estimator, epoch, 1-based minibatch step within the epoch,
+    learning rate, and last_good_checkpoint: the path of the last
+    checkpoint written before the failing update, or None when
     checkpointing was off or no checkpoint had been written yet. No
     parameter snapshot is kept in memory.
     """
@@ -42,16 +43,29 @@ class DivergenceError(NcelmError):
         tensor: str,
         estimator: str | None = None,
         epoch: int | None = None,
+        step: int | None = None,
+        learning_rate: float | None = None,
         last_good_checkpoint=None,
     ):
         detail = f"non-finite values in tensor '{tensor}'"
-        if estimator is not None:
-            detail += f" (estimator={estimator}"
-            detail += f", epoch={epoch})" if epoch is not None else ")"
+        run = [
+            f"{name}={value}"
+            for name, value in (
+                ("estimator", estimator),
+                ("epoch", epoch),
+                ("step", step),
+                ("lr", learning_rate),
+            )
+            if value is not None
+        ]
+        if run:
+            detail += f" ({', '.join(run)})"
         super().__init__(detail)
         self.tensor = tensor
         self.estimator = estimator
         self.epoch = epoch
+        self.step = step
+        self.learning_rate = learning_rate
         self.last_good_checkpoint = last_good_checkpoint
 
 

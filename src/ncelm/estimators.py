@@ -2,8 +2,9 @@
 estimation, and self-normalized importance sampling.
 
 All three produce a sparse Gradient over the same parameter tensors and
-are pure functions of (parameter snapshot, batch, rng state), so batches
-can be partitioned across workers and the partial gradients merged.
+are pure functions of (parameter snapshot, batch, rng state). Each
+stochastic estimator's objective comes from the same forward pass as
+its gradient, so replaying one rng state reproduces both.
 
 Sign convention: gradients point in the ascent direction of the
 estimator's objective (log-likelihood for ML and IS, the binary
@@ -52,29 +53,6 @@ class Gradient:
     bias_ids: np.ndarray
     bias_grads: np.ndarray
     normalizer_grads: dict[tuple[int, ...], float] = field(default_factory=dict)
-
-    def add(self, other: "Gradient") -> "Gradient":
-        """Merge two gradients; id sets union, shared ids sum once."""
-        cid, cval = _merge_rows(
-            self.context_vector_ids, self.context_vector_grads,
-            other.context_vector_ids, other.context_vector_grads,
-        )
-        tid, tval = _merge_rows(
-            self.target_vector_ids, self.target_vector_grads,
-            other.target_vector_ids, other.target_vector_grads,
-        )
-        bid, bval = _merge_rows(
-            self.bias_ids, self.bias_grads[:, None],
-            other.bias_ids, other.bias_grads[:, None],
-        )
-        norm = dict(self.normalizer_grads)
-        for key, g in other.normalizer_grads.items():
-            norm[key] = norm.get(key, 0.0) + g
-        return Gradient(
-            cid, cval, tid, tval,
-            self.transform_grads + other.transform_grads,
-            bid, bval[:, 0], norm,
-        )
 
 
 def zero_gradient(params: LblParams) -> Gradient:
@@ -245,60 +223,6 @@ def ml_objective(params: LblParams, normalizers: NormalizerStore, batch) -> floa
     return float(_target_log_probs(params, contexts, targets).sum())
 
 
-def _nce_parts(params, normalizers, batch, noise, k, rng):
-    """Forward pass for NCE with fresh samples per example.
-
-    Draws k noise samples per example, scores the observed and sampled
-    words with the unnormalized model, and returns the logistic
-    log-ratio matrix whose column 0 is the data term.
-    """
-    contexts, targets = _batch_arrays(batch)
-    b = targets.shape[0]
-    samples = noise_sample(noise, rng, size=(b, k))
-    words = np.concatenate([targets[:, None], samples], axis=1)
-
-    log_pn = noise.log_probs[words]
-    _check_target_support(targets, log_pn[:, 0])
-
-    ctx_rows = params.context_vectors[contexts]
-    qhat = predicted_representation_batch(params, contexts)
-    tw, s = _gather_scores(params, qhat, words)
-    if normalizers.mode == "per-context":
-        s += normalizers.lookup_batch(contexts)[:, None]
-    # z > 0 favors the noise explanation, z < 0 the model's.
-    z = (np.log(k) + log_pn) - s
-    return contexts, ctx_rows, qhat, tw, words, z
-
-
-def _nce_shared_parts(params, normalizers, batch, noise, k, rng):
-    """Forward pass for NCE with one set of k samples for the whole batch.
-
-    Sharing turns the per-example score/gradient work for the noise
-    words into dense matrix products against the k sampled rows, so the
-    update cost is nearly independent of k.
-    """
-    contexts, targets = _batch_arrays(batch)
-    samples = noise_sample(noise, rng, size=k)
-    log_pn_t = noise.log_probs[targets]
-    _check_target_support(targets, log_pn_t)
-
-    ctx_rows = params.context_vectors[contexts]
-    qhat = predicted_representation_batch(params, contexts)
-    tq = params.target_vectors[targets]
-    sample_vecs = params.target_vectors[samples]
-    s_t = np.einsum("bd,bd->b", tq, qhat).astype(np.float64)
-    s_t += params.biases[targets].astype(np.float64)
-    s_n = (qhat @ sample_vecs.T).astype(np.float64)
-    s_n += params.biases[samples].astype(np.float64)
-    if normalizers.mode == "per-context":
-        shift = normalizers.lookup_batch(contexts)
-        s_t += shift
-        s_n += shift[:, None]
-    z_t = (np.log(k) + log_pn_t) - s_t
-    z_n = (np.log(k) + noise.log_probs[samples])[None, :] - s_n
-    return contexts, ctx_rows, qhat, tq, sample_vecs, samples, z_t, z_n
-
-
 def nce_gradient(
     params: LblParams,
     normalizers: NormalizerStore,
@@ -324,13 +248,31 @@ def nce_gradient(
 def nce_gradient_and_objective(
     params, normalizers, batch, noise, k, rng, share_samples=False
 ):
+    """NCE gradient and objective from one forward pass.
+
+    Without sharing, draws k noise samples per example and scores the
+    observed and sampled words with the unnormalized model; column 0 of
+    the logistic log-ratio matrix z is the data term.
+    """
     if share_samples:
         return _nce_shared_gradient_and_objective(
             params, normalizers, batch, noise, k, rng
         )
-    contexts, ctx_rows, qhat, tw, words, z = _nce_parts(
-        params, normalizers, batch, noise, k, rng
-    )
+    contexts, targets = _batch_arrays(batch)
+    b = targets.shape[0]
+    samples = noise_sample(noise, rng, size=(b, k))
+    words = np.concatenate([targets[:, None], samples], axis=1)
+
+    log_pn = noise.log_probs[words]
+    _check_target_support(targets, log_pn[:, 0])
+
+    ctx_rows = params.context_vectors[contexts]
+    qhat = predicted_representation_batch(params, contexts)
+    tw, s = _gather_scores(params, qhat, words)
+    if normalizers.mode == "per-context":
+        s += normalizers.lookup_batch(contexts)[:, None]
+    # z > 0 favors the noise explanation, z < 0 the model's.
+    z = (np.log(k) + log_pn) - s
     objective = float(log_expit(-z[:, 0]).sum() + log_expit(z[:, 1:]).sum())
 
     coefs = expit(z)
@@ -363,10 +305,31 @@ def _normalizer_residuals(normalizers, contexts, per_example):
 
 
 def _nce_shared_gradient_and_objective(params, normalizers, batch, noise, k, rng):
-    contexts, ctx_rows, qhat, tq, sample_vecs, samples, z_t, z_n = _nce_shared_parts(
-        params, normalizers, batch, noise, k, rng
-    )
-    targets = _batch_arrays(batch)[1]
+    """NCE with one set of k noise samples for the whole batch.
+
+    Sharing turns the per-example score/gradient work for the noise
+    words into dense matrix products against the k sampled rows, so the
+    update cost is nearly independent of k.
+    """
+    contexts, targets = _batch_arrays(batch)
+    samples = noise_sample(noise, rng, size=k)
+    log_pn_t = noise.log_probs[targets]
+    _check_target_support(targets, log_pn_t)
+
+    ctx_rows = params.context_vectors[contexts]
+    qhat = predicted_representation_batch(params, contexts)
+    tq = params.target_vectors[targets]
+    sample_vecs = params.target_vectors[samples]
+    s_t = np.einsum("bd,bd->b", tq, qhat).astype(np.float64)
+    s_t += params.biases[targets].astype(np.float64)
+    s_n = (qhat @ sample_vecs.T).astype(np.float64)
+    s_n += params.biases[samples].astype(np.float64)
+    if normalizers.mode == "per-context":
+        shift = normalizers.lookup_batch(contexts)
+        s_t += shift
+        s_n += shift[:, None]
+    z_t = (np.log(k) + log_pn_t) - s_t
+    z_n = (np.log(k) + noise.log_probs[samples])[None, :] - s_n
     objective = float(log_expit(-z_t).sum() + log_expit(z_n).sum())
 
     coef_t = expit(z_t)
@@ -416,16 +379,14 @@ def nce_objective(
     """Monte-Carlo classification objective summed over the batch.
 
     Log posterior probability of labeling the observed word as data
-    plus the k sampled words as noise. Replaying the same rng state
-    reproduces the draws of nce_gradient, which is what the
-    finite-difference gradient checks rely on.
+    plus the k sampled words as noise, taken from the forward pass of
+    nce_gradient_and_objective. Replaying the same rng state reproduces
+    the draws of nce_gradient, which is what the finite-difference
+    gradient checks rely on.
     """
-    if share_samples:
-        parts = _nce_shared_parts(params, normalizers, batch, noise, k, rng)
-        z_t, z_n = parts[-2], parts[-1]
-        return float(log_expit(-z_t).sum() + log_expit(z_n).sum())
-    _, _, _, _, _, z = _nce_parts(params, normalizers, batch, noise, k, rng)
-    return float(log_expit(-z[:, 0]).sum() + log_expit(z[:, 1:]).sum())
+    return nce_gradient_and_objective(
+        params, normalizers, batch, noise, k, rng, share_samples
+    )[1]
 
 
 def exact_nce_gradient(
@@ -605,20 +566,9 @@ def is_objective(
     k: int,
     rng: np.random.Generator,
 ) -> float:
-    """Self-normalized log-likelihood estimate matching is_gradient's draws."""
-    contexts, targets = _batch_arrays(batch)
-    b = targets.shape[0]
-    samples = noise_sample(proposal, rng, size=(b, k))
-    qhat = predicted_representation_batch(params, contexts)
-    words = np.concatenate([targets[:, None], samples], axis=1)
-    _, s = _gather_scores(params, qhat, words)
-    log_v = s[:, 1:] - proposal.log_probs[samples]
-    log_total = logsumexp(log_v, axis=1)
-    if not np.all(np.isfinite(log_total)):
-        raise DegenerateWeightsError(
-            "importance weights vanished or overflowed for an example"
-        )
-    return float(s[:, 0].sum() - log_total.sum() + b * np.log(k))
+    """Self-normalized log-likelihood estimate matching is_gradient's draws,
+    taken from the forward pass of is_gradient_and_objective."""
+    return is_gradient_and_objective(params, normalizers, batch, proposal, k, rng)[2]
 
 
 def update_normalizers(

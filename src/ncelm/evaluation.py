@@ -30,7 +30,7 @@ from .corpus import (
     tokenize_line,
 )
 from .errors import ConfigError, IngestionError
-from .model import LblParams
+from .model import LblParams, predicted_representation_batch
 
 BLANK_MARKER = "___"
 
@@ -38,18 +38,6 @@ BLANK_MARKER = "___"
 # V=7,870, d=100, buffers of 8 to 16 MB scored fastest, 32 MB took 14%
 # longer and 2 MB 15% longer; at V=2,000, 0.5 to 16 MB timed the same.
 _SCORE_BUFFER_ELEMS = 1 << 20
-
-
-def _predicted64(params: LblParams, contexts: np.ndarray) -> np.ndarray:
-    """Predicted target vectors for a batch of contexts, in float64."""
-    rows = params.context_vectors[contexts].astype(np.float64, copy=False)
-    transforms = params.context_transforms.astype(np.float64, copy=False)
-    if params.matrix_mode == "full":
-        acc = rows[:, 0] @ transforms[0].T
-        for i in range(1, params.context_size):
-            acc += rows[:, i] @ transforms[i].T
-        return acc
-    return (rows * transforms[None, :, :]).sum(axis=1)
 
 
 def _float64_params(params: LblParams) -> LblParams:
@@ -83,7 +71,8 @@ def _target_log_probs(
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)
         scores = buffer[: hi - lo]
-        np.matmul(_predicted64(params, contexts[lo:hi]), table, out=scores)
+        qhat = predicted_representation_batch(params, contexts[lo:hi], np.float64)
+        np.matmul(qhat, table, out=scores)
         scores += biases
         scores -= scores.max(axis=1, keepdims=True)
         picked = scores[np.arange(hi - lo), targets[lo:hi]]

@@ -16,6 +16,7 @@ float64 storage end to end.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -156,24 +157,32 @@ def init_params(
 
 def predicted_representation(params: LblParams, context) -> np.ndarray:
     """Combine context word vectors through their position transforms."""
-    rows = params.context_vectors[np.asarray(context, dtype=np.int64)]
-    if rows.shape[0] != params.context_size:
+    context = np.asarray(context, dtype=np.int64)
+    if context.shape[0] != params.context_size:
         raise ConfigError("context length does not match context_size")
-    if params.matrix_mode == "full":
-        return np.einsum("cij,cj->i", params.context_transforms, rows)
-    return (params.context_transforms * rows).sum(axis=0)
+    return predicted_representation_batch(params, context[None, :])[0]
 
 
-def predicted_representation_batch(params: LblParams, contexts: np.ndarray) -> np.ndarray:
-    """Predicted vectors for a batch of contexts, shape (B, d)."""
+def predicted_representation_batch(
+    params: LblParams, contexts: np.ndarray, dtype=None
+) -> np.ndarray:
+    """Predicted vectors for a batch of contexts, shape (B, d).
+
+    Computed in the parameters' own dtype, or in dtype when given (no
+    copy of a table already stored in it).
+    """
     rows = params.context_vectors[contexts]
+    transforms = params.context_transforms
+    if dtype is not None:
+        rows = rows.astype(dtype, copy=False)
+        transforms = transforms.astype(dtype, copy=False)
     if params.matrix_mode == "full":
         # A short loop of GEMMs beats one big einsum for small context sizes.
-        acc = rows[:, 0] @ params.context_transforms[0].T
+        acc = rows[:, 0] @ transforms[0].T
         for i in range(1, params.context_size):
-            acc += rows[:, i] @ params.context_transforms[i].T
+            acc += rows[:, i] @ transforms[i].T
         return acc
-    return (params.context_transforms[None, :, :] * rows).sum(axis=1)
+    return (transforms[None, :, :] * rows).sum(axis=1)
 
 
 def score(params: LblParams, qhat: np.ndarray, w: int) -> float:
@@ -198,31 +207,6 @@ def full_distribution(params: LblParams, context) -> np.ndarray:
     return e / e.sum()
 
 
-def log_distribution_batch(
-    params: LblParams, contexts: np.ndarray, chunk_size: int = 8192
-) -> np.ndarray:
-    """Log next-word distributions for a batch of contexts, (B, V) float64.
-
-    Chunked so that the (chunk, V) score matrix stays within memory at
-    large vocabulary sizes.
-    """
-    n = contexts.shape[0]
-    tgt = params.target_vectors.astype(np.float64)
-    b = params.biases.astype(np.float64)
-    out = np.empty((n, params.vocab_size), dtype=np.float64)
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        qh = predicted_representation_batch(params, contexts[lo:hi]).astype(np.float64)
-        s = qh @ tgt.T
-        s += b
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        norm = s.sum(axis=1, keepdims=True)
-        np.log(s, out=s)
-        out[lo:hi] = s - np.log(norm)
-    return out
-
-
 def _mode_flags(params: LblParams, normalizers: NormalizerStore) -> tuple[int, int]:
     return MATRIX_MODES.index(params.matrix_mode), NORMALIZER_MODES.index(normalizers.mode)
 
@@ -237,25 +221,36 @@ def save_checkpoint(path, params: LblParams, normalizers: NormalizerStore) -> No
     in per-context mode, a uint32 record count followed by (context ids
     as uint32, log-normalizer as float32) records in sorted context
     order. Writing then reading reproduces the file byte for byte.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces path in one step, so a write that fails partway leaves any
+    previous file at path intact and no temporary file behind.
     """
     mflag, nflag = _mode_flags(params, normalizers)
     header = struct.pack(
         "<6I", CHECKPOINT_VERSION, params.vocab_size, params.dim,
         params.context_size, mflag, nflag,
     )
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(header)
-        f.write(np.ascontiguousarray(params.context_vectors, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(params.target_vectors, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(params.context_transforms, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(params.biases, dtype="<f4").tobytes())
-        if normalizers.mode == "per-context":
-            items = sorted(normalizers.table.items())
-            f.write(struct.pack("<I", len(items)))
-            for key, value in items:
-                f.write(np.asarray(key, dtype="<u4").tobytes())
-                f.write(np.float32(value).tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(header)
+            f.write(np.ascontiguousarray(params.context_vectors, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(params.target_vectors, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(params.context_transforms, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(params.biases, dtype="<f4").tobytes())
+            if normalizers.mode == "per-context":
+                items = sorted(normalizers.table.items())
+                f.write(struct.pack("<I", len(items)))
+                for key, value in items:
+                    f.write(np.asarray(key, dtype="<u4").tobytes())
+                    f.write(np.float32(value).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, dtype=np.float32) -> tuple[LblParams, NormalizerStore]:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .corpus import OOS_ID, OOS_TOKEN, UNK_TOKEN, Vocabulary
 from .errors import ConfigError
-from .evaluation import CompletionProblem, _predicted64
-from .model import LblParams
+from .evaluation import CompletionProblem
+from .model import LblParams, predicted_representation_batch
 
 # Effectively removes a word from the sampler without leaving the
 # finite parameter range.
@@ -78,7 +78,7 @@ def make_vocab(vocab_size: int, counts: np.ndarray | None = None) -> Vocabulary:
 
 
 def _batch_distributions(params, contexts):
-    qhat = _predicted64(params, contexts)
+    qhat = predicted_representation_batch(params, contexts, np.float64)
     scores = qhat @ params.target_vectors.astype(np.float64).T
     scores += params.biases.astype(np.float64)
     scores -= scores.max(axis=1, keepdims=True)

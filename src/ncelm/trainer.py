@@ -1,15 +1,13 @@
 """Minibatch SGD training loop with perplexity-driven learning-rate decay.
 
-The loop is deterministic for a fixed (seed, worker_count) pair: the
-master seed spawns independent streams for parameter initialization,
-epoch shuffling, and each worker's noise sampling, so reruns produce
-bit-identical parameters and history.
+The loop is deterministic for a fixed seed: the master seed spawns
+independent streams for parameter initialization, epoch shuffling, and
+noise sampling, so reruns produce bit-identical parameters and history.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +56,6 @@ class TrainConfig:
     seed: int = 0
     normalizer_mode: str = "fixed-one"
     ess_floor: float | None = None
-    worker_count: int = 1
 
     dim: int = 100
     matrix_mode: str = "full"
@@ -89,8 +86,6 @@ class TrainConfig:
             raise ConfigError(f"unknown normalizer mode {self.normalizer_mode!r}")
         if self.ess_floor is not None and not self.ess_floor > 0:
             raise ConfigError(f"ess_floor must be > 0, got {self.ess_floor}")
-        if self.worker_count < 1:
-            raise ConfigError(f"worker_count must be >= 1, got {self.worker_count}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.precision not in (32, 64):
@@ -241,13 +236,12 @@ def _make_noise(config: TrainConfig, train_set: Dataset, vocab: Vocabulary):
 
 
 def _batch_gradient(config, params, normalizers, batch, noise, k, rng):
-    """One worker's gradient over its slice.
+    """The gradient of one minibatch.
 
     Returns (gradient, objective, stats-or-None). Overflow warnings are
-    silenced here (errstate is thread-local, and this is the code that
-    runs on worker threads): a run that blows up produces non-finite
-    values that the update step detects and reports as a divergence
-    error, so the warnings would only repeat that message.
+    silenced here: a run that blows up produces non-finite values that
+    the update step detects and reports as a divergence error, so the
+    warnings would only repeat that message.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if config.estimator == "ml":
@@ -302,9 +296,9 @@ def train(
         )
 
     master = np.random.SeedSequence(config.seed)
-    init_seed, shuffle_seed, *worker_seeds = master.spawn(2 + config.worker_count)
+    init_seed, shuffle_seed, noise_seed = master.spawn(3)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    worker_rngs = [np.random.default_rng(s) for s in worker_seeds]
+    noise_rng = np.random.default_rng(noise_seed)
 
     if initial_params is not None:
         params = initial_params.copy()
@@ -335,11 +329,6 @@ def train(
     prev_ppl = None
     last_checkpoint = None
     n = len(train_set)
-    pool = (
-        ThreadPoolExecutor(max_workers=config.worker_count)
-        if config.worker_count > 1
-        else None
-    )
 
     def write_checkpoint():
         nonlocal last_checkpoint
@@ -347,89 +336,71 @@ def train(
             save_checkpoint(checkpoint_path, params, normalizers)
             last_checkpoint = str(checkpoint_path)
 
-    try:
-        for epoch in range(1, config.max_epochs + 1):
-            started = time.perf_counter()
-            order = shuffle_rng.permutation(n)
-            objective_sum = 0.0
-            ess_values = []
-            max_weight = 0.0
-            for lo in range(0, n, config.minibatch_size):
-                rows = order[lo : lo + config.minibatch_size]
-                chunks = [
-                    c for c in np.array_split(rows, config.worker_count) if c.size
-                ]
-                jobs = []
-                for i, chunk in enumerate(chunks):
-                    batch = (train_set.contexts[chunk], train_set.targets[chunk])
-                    args = (
-                        config, params, normalizers, batch,
-                        noise, k, worker_rngs[i],
-                    )
-                    if pool is None:
-                        jobs.append(_batch_gradient(*args))
-                    else:
-                        jobs.append(pool.submit(_batch_gradient, *args))
-                if pool is not None:
-                    jobs = [j.result() for j in jobs]
-                grad = jobs[0][0]
-                for other, _, _ in jobs[1:]:
-                    grad = grad.add(other)
-                for _, obj, stats in jobs:
-                    objective_sum += obj
-                    if stats is not None:
-                        ess_values.append(stats.ess)
-                        max_weight = max(max_weight, stats.max_weight_fraction)
-                try:
-                    sgd_step(params, normalizers, grad, lr, config.weight_penalty)
-                except DivergenceError as err:
-                    raise DivergenceError(
-                        err.tensor,
-                        estimator=config.estimator,
-                        epoch=epoch,
-                        last_good_checkpoint=last_checkpoint,
-                    ) from err
-
-            valid_ppl = perplexity(params, valid_set)
-            mean_ess = float(np.mean(ess_values)) if ess_values else None
-            history.records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    objective=objective_sum / n,
-                    valid_ppl=valid_ppl,
-                    learning_rate=lr,
-                    seconds=time.perf_counter() - started,
-                    mean_ess=mean_ess,
-                )
+    for epoch in range(1, config.max_epochs + 1):
+        started = time.perf_counter()
+        order = shuffle_rng.permutation(n)
+        objective_sum = 0.0
+        ess_values = []
+        max_weight = 0.0
+        for step, lo in enumerate(range(0, n, config.minibatch_size), start=1):
+            rows = order[lo : lo + config.minibatch_size]
+            batch = (train_set.contexts[rows], train_set.targets[rows])
+            grad, obj, stats = _batch_gradient(
+                config, params, normalizers, batch, noise, k, noise_rng
             )
-            history.k_by_epoch.append(k)
-            if config.estimator == "is":
-                history.max_weight_fractions.append(max_weight)
+            objective_sum += obj
+            if stats is not None:
+                ess_values.append(stats.ess)
+                max_weight = max(max_weight, stats.max_weight_fraction)
+            try:
+                sgd_step(params, normalizers, grad, lr, config.weight_penalty)
+            except DivergenceError as err:
+                raise DivergenceError(
+                    err.tensor,
+                    estimator=config.estimator,
+                    epoch=epoch,
+                    step=step,
+                    learning_rate=lr,
+                    last_good_checkpoint=last_checkpoint,
+                ) from err
 
-            if valid_ppl < best_ppl:
-                best_ppl = valid_ppl
-                epochs_since_improvement = 0
-                write_checkpoint()
-            else:
-                epochs_since_improvement += 1
+        valid_ppl = perplexity(params, valid_set)
+        mean_ess = float(np.mean(ess_values)) if ess_values else None
+        history.records.append(
+            EpochRecord(
+                epoch=epoch,
+                objective=objective_sum / n,
+                valid_ppl=valid_ppl,
+                learning_rate=lr,
+                seconds=time.perf_counter() - started,
+                mean_ess=mean_ess,
+            )
+        )
+        history.k_by_epoch.append(k)
+        if config.estimator == "is":
+            history.max_weight_fractions.append(max_weight)
 
-            if prev_ppl is not None:
-                lr = update_learning_rate(lr, prev_ppl, valid_ppl)
-            prev_ppl = valid_ppl
+        if valid_ppl < best_ppl:
+            best_ppl = valid_ppl
+            epochs_since_improvement = 0
+            write_checkpoint()
+        else:
+            epochs_since_improvement += 1
 
-            if (
-                config.estimator == "is"
-                and config.ess_floor is not None
-                and mean_ess is not None
-                and mean_ess < config.ess_floor
-            ):
-                k = max(k + 1, int(round(ESS_GROWTH_FACTOR * k)))
+        if prev_ppl is not None:
+            lr = update_learning_rate(lr, prev_ppl, valid_ppl)
+        prev_ppl = valid_ppl
 
-            if lr < lr_floor or epochs_since_improvement >= PATIENCE_EPOCHS:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        if (
+            config.estimator == "is"
+            and config.ess_floor is not None
+            and mean_ess is not None
+            and mean_ess < config.ess_floor
+        ):
+            k = max(k + 1, int(round(ESS_GROWTH_FACTOR * k)))
+
+        if lr < lr_floor or epochs_since_improvement >= PATIENCE_EPOCHS:
+            break
 
     write_checkpoint()
     return params, normalizers, history

@@ -406,7 +406,7 @@ def test_criterion_9_determinism(corpus, quality_runs, tmp_path):
     same_logs = logged_fields(first) == logged_fields(rerun_hist)
     _verdict(
         9,
-        "same seed, single worker reproduces the run",
+        "same seed reproduces the run",
         [
             ("checkpoints byte-identical", same_bytes),
             ("logged fields identical (seconds excluded)", same_logs),

@@ -87,6 +87,7 @@ def test_train_divergence_exits_nonzero_with_context(workdir, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "estimator=ml" in err and "epoch=" in err
+    assert "step=" in err and "lr=9.0" in err
 
 
 def test_ppl_reports_value(workdir, capsys):

@@ -10,7 +10,6 @@ from ncelm.diagnostics import (
 )
 from ncelm.errors import DegenerateWeightsError, SupportError
 from ncelm.estimators import (
-    Gradient,
     exact_nce_gradient,
     is_gradient,
     ml_gradient,
@@ -59,13 +58,11 @@ def test_ml_gradient_is_additive_over_examples():
     first = (contexts[:2], targets[:2])
     rest = (contexts[2:], targets[2:])
 
-    merged = ml_gradient(params, normalizers, first).add(
-        ml_gradient(params, normalizers, rest)
-    )
+    summed = flatten_gradient(
+        ml_gradient(params, normalizers, first), params
+    ) + flatten_gradient(ml_gradient(params, normalizers, rest), params)
     whole = ml_gradient(params, normalizers, batch)
-    assert np.allclose(
-        flatten_gradient(merged, params), flatten_gradient(whole, params)
-    )
+    assert np.allclose(summed, flatten_gradient(whole, params))
 
 
 def test_batch_adapter_accepts_dataset_tuple_and_example_list():
@@ -191,28 +188,6 @@ def test_is_raises_when_all_weights_vanish():
     batch = (np.array([[0]]), np.array([2]))
     with pytest.raises(DegenerateWeightsError):
         is_gradient(params, NormalizerStore(), batch, uniform(4), 3, np.random.default_rng(0))
-
-
-def test_zero_gradient_is_additive_identity():
-    params, normalizers, batch, _, _ = random_instance(8)
-    grad = ml_gradient(params, normalizers, batch)
-    same = grad.add(zero_gradient(params))
-    assert np.array_equal(
-        flatten_gradient(same, params), flatten_gradient(grad, params)
-    )
-
-
-def test_gradient_add_merges_normalizer_terms():
-    empty = np.empty(0, dtype=np.int64)
-    shell = dict(
-        context_vector_ids=empty, context_vector_grads=np.zeros((0, 2)),
-        target_vector_ids=empty, target_vector_grads=np.zeros((0, 2)),
-        transform_grads=np.zeros((1, 2)), bias_ids=empty, bias_grads=np.zeros(0),
-    )
-    a = Gradient(**shell, normalizer_grads={(1, 2): 1.0, (3, 4): 0.5})
-    b = Gradient(**shell, normalizer_grads={(1, 2): -0.25})
-    merged = a.add(b)
-    assert merged.normalizer_grads == {(1, 2): 0.75, (3, 4): 0.5}
 
 
 def test_update_normalizers_accumulates_per_context():

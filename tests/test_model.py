@@ -12,7 +12,6 @@ from ncelm.model import (
     full_distribution,
     init_params,
     load_checkpoint,
-    log_distribution_batch,
     predicted_representation,
     predicted_representation_batch,
     save_checkpoint,
@@ -100,10 +99,6 @@ def test_scores_and_distribution_consistency():
     manual = np.exp(all_scores - all_scores.max())
     assert np.allclose(dist, manual / manual.sum())
 
-    logs = log_distribution_batch(p, np.array([[2, 0], [0, 1]]))
-    assert np.allclose(np.exp(logs[0]), dist)
-    assert np.allclose(np.exp(logs).sum(axis=1), 1.0)
-
 
 def test_normalizer_store_modes():
     fixed = NormalizerStore("fixed-one")
@@ -138,6 +133,42 @@ def test_checkpoint_round_trip(tmp_path):
     again = tmp_path / "again.ckpt"
     save_checkpoint(again, loaded, loaded_store)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    from ncelm import model
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(7, 3, 2, seed=1), NormalizerStore())
+    before = path.read_bytes()
+
+    class FullDisk:
+        """A file that takes 100 bytes, then fails as a full disk does."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            room = 100 - self.handle.tell()
+            if len(data) > room:
+                self.handle.write(data[:room])
+                raise OSError(28, "No space left on device")
+            return self.handle.write(data)
+
+    monkeypatch.setattr(
+        model, "open", lambda *a, **kw: FullDisk(open(*a, **kw)), raising=False
+    )
+    store = NormalizerStore("per-context", {(1, 2): -0.75})
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, init_params(7, 3, 2, seed=2), store)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_dtype_promotion(tmp_path):

@@ -49,7 +49,6 @@ from .estimators import (
     nce_gradient,
     nce_objective,
     update_normalizers,
-    zero_gradient,
 )
 from .evaluation import (
     CompletionProblem,
@@ -69,7 +68,6 @@ from .model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
 from .noise import NoiseDistribution, from_counts, sample, uniform
 from .trainer import (

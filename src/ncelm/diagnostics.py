@@ -18,7 +18,7 @@ from .estimators import (
     exact_nce_gradient,
     expected_ml_gradient,
 )
-from .model import LblParams, NormalizerStore, init_params
+from .model import LblParams, NormalizerStore, init_params, scores_all
 from .noise import NoiseDistribution, from_counts
 from .trainer import TrainConfig, train
 from .corpus import extract_pairs
@@ -92,7 +92,7 @@ def flatten_gradient(
     tgt = np.zeros((v, d))
     tgt[gradient.target_vector_ids] = gradient.target_vector_grads
     bias = np.zeros(v)
-    bias[gradient.bias_ids] = gradient.bias_grads
+    bias[gradient.target_vector_ids] = gradient.bias_grads
     parts = [
         ctx.ravel(),
         tgt.ravel(),
@@ -278,13 +278,7 @@ def nce_limit_gaps(seed: int = 0, k_grid=(1, 10, 100, 1000, 10_000)):
     rng = np.random.default_rng(seed + 1000)
     context = batch[0][0]
     key = tuple(int(i) for i in context)
-
-    from .model import predicted_representation
-
-    qhat = predicted_representation(params, context).astype(np.float64)
-    scores = params.target_vectors.astype(np.float64) @ qhat
-    scores += params.biases.astype(np.float64)
-    normalizers.table[key] = float(-logsumexp(scores))
+    normalizers.table[key] = float(-logsumexp(scores_all(params, context[None, :])[0]))
 
     data_dist = rng.dirichlet(np.ones(params.vocab_size))
     keys = [key]

@@ -3,8 +3,10 @@ estimation, and self-normalized importance sampling.
 
 All three produce a sparse Gradient over the same parameter tensors and
 are pure functions of (parameter snapshot, batch, rng state). Each
-stochastic estimator's objective comes from the same forward pass as
-its gradient, so replaying one rng state reproduces both.
+stochastic estimator is a forward helper (draws, scores, objective)
+and a backward step. Its objective function runs only the forward
+helper and its gradient function runs the same helper once before the
+backward step, so replaying one rng state reproduces both.
 
 Sign convention: gradients point in the ascent direction of the
 estimator's objective (log-likelihood for ML and IS, the binary
@@ -30,7 +32,13 @@ from scipy.special import expit, log_expit, logsumexp
 from .corpus import Dataset
 from .errors import DegenerateWeightsError, SupportError
 from .evaluation import _target_log_probs
-from .model import LblParams, NormalizerStore, predicted_representation_batch
+from .model import (
+    LblParams,
+    NormalizerStore,
+    full_distribution,
+    predicted_representation_batch,
+    scores_all,
+)
 from .noise import NoiseDistribution, sample as noise_sample
 
 
@@ -39,10 +47,11 @@ class Gradient:
     """Sparse gradient over the model's tensors.
 
     Word-row components hold sorted unique ids with one accumulated
-    vector (or scalar, for biases) per id. Transform gradients are dense
-    because every example touches every position transform. Normalizer
-    terms map context tuples to scalar gradients and are empty outside
-    per-context mode.
+    vector per id. A word's score depends on its target vector and its
+    bias together, so bias_grads holds one scalar per target_vector_ids
+    entry. Transform gradients are dense because every example touches
+    every position transform. Normalizer terms map context tuples to
+    scalar gradients and are empty outside per-context mode.
     """
 
     context_vector_ids: np.ndarray
@@ -50,25 +59,8 @@ class Gradient:
     target_vector_ids: np.ndarray
     target_vector_grads: np.ndarray
     transform_grads: np.ndarray
-    bias_ids: np.ndarray
     bias_grads: np.ndarray
     normalizer_grads: dict[tuple[int, ...], float] = field(default_factory=dict)
-
-
-def zero_gradient(params: LblParams) -> Gradient:
-    """Gradient touching no word rows, with zero transform gradients."""
-    d = params.dim
-    no_ids = np.empty(0, dtype=np.int64)
-    return Gradient(
-        context_vector_ids=no_ids,
-        context_vector_grads=np.zeros((0, d), dtype=params.dtype),
-        target_vector_ids=no_ids,
-        target_vector_grads=np.zeros((0, d), dtype=params.dtype),
-        transform_grads=np.zeros_like(params.context_transforms),
-        bias_ids=no_ids,
-        bias_grads=np.zeros(0, dtype=params.dtype),
-        normalizer_grads={},
-    )
 
 
 @dataclass
@@ -130,9 +122,10 @@ def _rank1_rowsum(words: np.ndarray, coefs: np.ndarray, vecs: np.ndarray):
     return uids, w @ vecs
 
 
-def _context_side(params, contexts, ctx_rows, g_qhat):
+def _context_side(params, contexts, g_qhat):
     """Context-vector and transform gradients from the predicted-vector
     gradient, shared by every estimator."""
+    ctx_rows = params.context_vectors[contexts]
     b = g_qhat.shape[0]
     c = params.context_size
     transforms = params.context_transforms
@@ -174,7 +167,6 @@ def ml_gradient(params: LblParams, normalizers: NormalizerStore, batch) -> Gradi
 def ml_gradient_and_objective(params, normalizers, batch):
     contexts, targets = _batch_arrays(batch)
     b = targets.shape[0]
-    ctx_rows = params.context_vectors[contexts]
     qhat = predicted_representation_batch(params, contexts)
     qh64 = qhat.astype(np.float64)
     tgt64 = params.target_vectors.astype(np.float64)
@@ -199,12 +191,12 @@ def ml_gradient_and_objective(params, normalizers, batch):
 
     dtype = params.dtype
     g_qhat = g_qhat.astype(dtype)
-    cids, cgrads, tgrads = _context_side(params, contexts, ctx_rows, g_qhat)
+    cids, cgrads, tgrads = _context_side(params, contexts, g_qhat)
     all_ids = np.arange(params.vocab_size, dtype=np.int64)
     return (
         Gradient(
             cids, cgrads, all_ids, target_grads.astype(dtype),
-            tgrads, all_ids, bias_grads.astype(dtype), {},
+            tgrads, bias_grads.astype(dtype), {},
         ),
         objective,
     )
@@ -255,9 +247,17 @@ def nce_gradient_and_objective(
     the logistic log-ratio matrix z is the data term.
     """
     if share_samples:
-        return _nce_shared_gradient_and_objective(
-            params, normalizers, batch, noise, k, rng
-        )
+        objective, state = _nce_shared_forward(params, normalizers, batch, noise, k, rng)
+        return _nce_shared_backward(params, normalizers, *state), objective
+    objective, state = _nce_forward(params, normalizers, batch, noise, k, rng)
+    return _nce_backward(params, normalizers, *state), objective
+
+
+def _nce_forward(params, normalizers, batch, noise, k, rng):
+    """Draws, scores and log-ratios of per-example NCE.
+
+    Returns the objective and the state _nce_backward takes.
+    """
     contexts, targets = _batch_arrays(batch)
     b = targets.shape[0]
     samples = noise_sample(noise, rng, size=(b, k))
@@ -266,7 +266,6 @@ def nce_gradient_and_objective(
     log_pn = noise.log_probs[words]
     _check_target_support(targets, log_pn[:, 0])
 
-    ctx_rows = params.context_vectors[contexts]
     qhat = predicted_representation_batch(params, contexts)
     tw, s = _gather_scores(params, qhat, words)
     if normalizers.mode == "per-context":
@@ -274,7 +273,10 @@ def nce_gradient_and_objective(
     # z > 0 favors the noise explanation, z < 0 the model's.
     z = (np.log(k) + log_pn) - s
     objective = float(log_expit(-z[:, 0]).sum() + log_expit(z[:, 1:]).sum())
+    return objective, (contexts, words, qhat, tw, z)
 
+
+def _nce_backward(params, normalizers, contexts, words, qhat, tw, z):
     coefs = expit(z)
     coefs[:, 1:] -= 1.0  # noise columns carry weight -P/(P + k*Pn)
     # Bounded whenever the scores are; non-finite scores fall through to
@@ -288,11 +290,10 @@ def nce_gradient_and_objective(
     )
     bias_grads = bias_dense[tids].astype(dtype)
     g_qhat = np.matmul(coefs.astype(dtype)[:, None, :], tw)[:, 0, :]
-    cids, cgrads, trgrads = _context_side(params, contexts, ctx_rows, g_qhat)
+    cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
 
     norm_grads = _normalizer_residuals(normalizers, contexts, coefs.sum(axis=1))
-    grad = Gradient(cids, cgrads, tids, tgrads, trgrads, tids, bias_grads, norm_grads)
-    return grad, objective
+    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads, norm_grads)
 
 
 def _normalizer_residuals(normalizers, contexts, per_example):
@@ -304,19 +305,19 @@ def _normalizer_residuals(normalizers, contexts, per_example):
     return norm_grads
 
 
-def _nce_shared_gradient_and_objective(params, normalizers, batch, noise, k, rng):
+def _nce_shared_forward(params, normalizers, batch, noise, k, rng):
     """NCE with one set of k noise samples for the whole batch.
 
     Sharing turns the per-example score/gradient work for the noise
     words into dense matrix products against the k sampled rows, so the
-    update cost is nearly independent of k.
+    update cost is nearly independent of k. Returns the objective and
+    the state _nce_shared_backward takes.
     """
     contexts, targets = _batch_arrays(batch)
     samples = noise_sample(noise, rng, size=k)
     log_pn_t = noise.log_probs[targets]
     _check_target_support(targets, log_pn_t)
 
-    ctx_rows = params.context_vectors[contexts]
     qhat = predicted_representation_batch(params, contexts)
     tq = params.target_vectors[targets]
     sample_vecs = params.target_vectors[samples]
@@ -331,7 +332,12 @@ def _nce_shared_gradient_and_objective(params, normalizers, batch, noise, k, rng
     z_t = (np.log(k) + log_pn_t) - s_t
     z_n = (np.log(k) + noise.log_probs[samples])[None, :] - s_n
     objective = float(log_expit(-z_t).sum() + log_expit(z_n).sum())
+    return objective, (contexts, targets, samples, qhat, tq, sample_vecs, z_t, z_n)
 
+
+def _nce_shared_backward(
+    params, normalizers, contexts, targets, samples, qhat, tq, sample_vecs, z_t, z_n
+):
     coef_t = expit(z_t)
     coef_n = expit(z_n)
     coef_n -= 1.0
@@ -358,13 +364,12 @@ def _nce_shared_gradient_and_objective(params, normalizers, batch, noise, k, rng
 
     g_qhat = coef_t.astype(dtype)[:, None] * tq
     g_qhat += coef_n.astype(dtype) @ sample_vecs
-    cids, cgrads, trgrads = _context_side(params, contexts, ctx_rows, g_qhat)
+    cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
 
     norm_grads = _normalizer_residuals(
         normalizers, contexts, coef_t + coef_n.sum(axis=1)
     )
-    grad = Gradient(cids, cgrads, tids, tgrads, trgrads, tids, bias_grads, norm_grads)
-    return grad, objective
+    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads, norm_grads)
 
 
 def nce_objective(
@@ -379,14 +384,33 @@ def nce_objective(
     """Monte-Carlo classification objective summed over the batch.
 
     Log posterior probability of labeling the observed word as data
-    plus the k sampled words as noise, taken from the forward pass of
-    nce_gradient_and_objective. Replaying the same rng state reproduces
-    the draws of nce_gradient, which is what the finite-difference
-    gradient checks rely on.
+    plus the k sampled words as noise, from the forward pass that
+    nce_gradient_and_objective runs. Replaying the same rng state
+    reproduces the draws of nce_gradient, which is what the
+    finite-difference gradient checks rely on.
     """
-    return nce_gradient_and_objective(
-        params, normalizers, batch, noise, k, rng, share_samples
-    )[1]
+    forward = _nce_shared_forward if share_samples else _nce_forward
+    return forward(params, normalizers, batch, noise, k, rng)[0]
+
+
+def _enumerated_gradient(params, normalizers, context, coefs, norm_grad):
+    """Gradient of sum_w coefs[w] * score(w) for one context over every
+    word w, with norm_grad on the context's normalizer; the shared tail
+    of the enumeration oracles."""
+    contexts = np.asarray(context, dtype=np.int64)[None, :]
+    qh64 = predicted_representation_batch(params, contexts)[0].astype(np.float64)
+    tgt64 = params.target_vectors.astype(np.float64)
+    target_grads = coefs[:, None] * qh64[None, :]
+    g_qhat = (coefs @ tgt64).astype(params.dtype)
+    cids, cgrads, tgrads = _context_side(params, contexts, g_qhat[None, :])
+    all_ids = np.arange(params.vocab_size, dtype=np.int64)
+    norm_grads = {}
+    if normalizers.mode == "per-context":
+        norm_grads[tuple(int(i) for i in context)] = norm_grad
+    return Gradient(
+        cids, cgrads, all_ids, target_grads.astype(params.dtype),
+        tgrads, coefs.astype(params.dtype), norm_grads,
+    )
 
 
 def exact_nce_gradient(
@@ -405,31 +429,12 @@ def exact_nce_gradient(
     """
     if not noise.has_full_support:
         raise SupportError("enumeration oracle requires full noise support")
-    contexts = np.asarray(context, dtype=np.int64)[None, :]
-    ctx_rows = params.context_vectors[contexts]
-    qhat = predicted_representation_batch(params, contexts)
-    qh64 = qhat[0].astype(np.float64)
-    tgt64 = params.target_vectors.astype(np.float64)
-    s = tgt64 @ qh64 + params.biases.astype(np.float64)
+    s = scores_all(params, np.asarray(context, dtype=np.int64)[None, :])[0]
     s += normalizers.lookup(context)
-
     data_dist = np.asarray(data_dist, dtype=np.float64)
-    p_model = np.exp(s)
     alpha = expit(np.log(k) + noise.log_probs - s)
-    coefs = alpha * (data_dist - p_model)
-
-    target_grads = coefs[:, None] * qh64[None, :]
-    g_qhat = (coefs @ tgt64).astype(params.dtype)
-    cids, cgrads, tgrads = _context_side(params, contexts, ctx_rows, g_qhat[None, :])
-    all_ids = np.arange(params.vocab_size, dtype=np.int64)
-    norm_grads = {}
-    if normalizers.mode == "per-context":
-        key = tuple(int(i) for i in context)
-        norm_grads[key] = float(coefs.sum())
-    return Gradient(
-        cids, cgrads, all_ids, target_grads.astype(params.dtype),
-        tgrads, all_ids, coefs.astype(params.dtype), norm_grads,
-    )
+    coefs = alpha * (data_dist - np.exp(s))
+    return _enumerated_gradient(params, normalizers, context, coefs, float(coefs.sum()))
 
 
 def expected_ml_gradient(
@@ -447,28 +452,9 @@ def expected_ml_gradient(
     gets gradient zero: explicit normalization cancels any per-context
     constant. Test oracle; cost scales with V.
     """
-    contexts = np.asarray(context, dtype=np.int64)[None, :]
-    ctx_rows = params.context_vectors[contexts]
-    qhat = predicted_representation_batch(params, contexts)
-    qh64 = qhat[0].astype(np.float64)
-    tgt64 = params.target_vectors.astype(np.float64)
-    s = tgt64 @ qh64 + params.biases.astype(np.float64)
-    shifted = s - s.max()
-    p_model = np.exp(shifted)
-    p_model /= p_model.sum()
-
+    p_model = full_distribution(params, np.asarray(context, dtype=np.int64)[None, :])[0]
     coefs = np.asarray(data_dist, dtype=np.float64) - p_model
-    target_grads = coefs[:, None] * qh64[None, :]
-    g_qhat = (coefs @ tgt64).astype(params.dtype)
-    cids, cgrads, tgrads = _context_side(params, contexts, ctx_rows, g_qhat[None, :])
-    all_ids = np.arange(params.vocab_size, dtype=np.int64)
-    norm_grads = {}
-    if normalizers.mode == "per-context":
-        norm_grads[tuple(int(i) for i in context)] = 0.0
-    return Gradient(
-        cids, cgrads, all_ids, target_grads.astype(params.dtype),
-        tgrads, all_ids, coefs.astype(params.dtype), norm_grads,
-    )
+    return _enumerated_gradient(params, normalizers, context, coefs, 0.0)
 
 
 def exact_nce_objective(
@@ -483,10 +469,7 @@ def exact_nce_objective(
     exact_nce_gradient computes); test oracle."""
     if not noise.has_full_support:
         raise SupportError("enumeration oracle requires full noise support")
-    contexts = np.asarray(context, dtype=np.int64)[None, :]
-    qhat = predicted_representation_batch(params, contexts)[0].astype(np.float64)
-    s = params.target_vectors.astype(np.float64) @ qhat
-    s += params.biases.astype(np.float64)
+    s = scores_all(params, np.asarray(context, dtype=np.int64)[None, :])[0]
     s += normalizers.lookup(context)
     z = (np.log(k) + noise.log_probs) - s
     data_dist = np.asarray(data_dist, dtype=np.float64)
@@ -516,12 +499,19 @@ def is_gradient(
 
 
 def is_gradient_and_objective(params, normalizers, batch, proposal, k, rng):
+    objective, state = _is_forward(params, batch, proposal, k, rng)
+    grad, stats = _is_backward(params, *state)
+    return grad, stats, objective
+
+
+def _is_forward(params, batch, proposal, k, rng):
+    """Draws, scores and log-weights of self-normalized importance
+    sampling. Returns the objective and the state _is_backward takes."""
     contexts, targets = _batch_arrays(batch)
     b = targets.shape[0]
     samples = noise_sample(proposal, rng, size=(b, k))
     words = np.concatenate([targets[:, None], samples], axis=1)
 
-    ctx_rows = params.context_vectors[contexts]
     qhat = predicted_representation_batch(params, contexts)
     tw, s = _gather_scores(params, qhat, words)
 
@@ -531,6 +521,13 @@ def is_gradient_and_objective(params, normalizers, batch, proposal, k, rng):
         raise DegenerateWeightsError(
             "importance weights vanished or overflowed for an example"
         )
+    # Self-normalized estimate of log P(w): score minus estimated log Z.
+    objective = float(s[:, 0].sum() - log_total.sum() + b * np.log(k))
+    return objective, (contexts, words, qhat, tw, log_v, log_total)
+
+
+def _is_backward(params, contexts, words, qhat, tw, log_v, log_total):
+    b = words.shape[0]
     log_w = log_v - log_total[:, None]
     w_norm = np.exp(log_w)
     ess = 1.0 / np.sum(w_norm * w_norm, axis=1)
@@ -542,8 +539,6 @@ def is_gradient_and_objective(params, normalizers, batch, proposal, k, rng):
         ess=float(ess.mean()),
         max_weight_fraction=float(w_norm.max()),
     )
-    # Self-normalized estimate of log P(w): score minus estimated log Z.
-    objective = float(s[:, 0].sum() - log_total.sum() + b * np.log(k))
 
     coefs = np.concatenate([np.ones((b, 1)), -w_norm], axis=1)
     dtype = params.dtype
@@ -553,9 +548,8 @@ def is_gradient_and_objective(params, normalizers, batch, proposal, k, rng):
     )
     bias_grads = bias_dense[tids].astype(dtype)
     g_qhat = np.matmul(coefs.astype(dtype)[:, None, :], tw)[:, 0, :]
-    cids, cgrads, trgrads = _context_side(params, contexts, ctx_rows, g_qhat)
-    grad = Gradient(cids, cgrads, tids, tgrads, trgrads, tids, bias_grads, {})
-    return grad, stats, objective
+    cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
+    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads, {}), stats
 
 
 def is_objective(
@@ -567,8 +561,8 @@ def is_objective(
     rng: np.random.Generator,
 ) -> float:
     """Self-normalized log-likelihood estimate matching is_gradient's draws,
-    taken from the forward pass of is_gradient_and_objective."""
-    return is_gradient_and_objective(params, normalizers, batch, proposal, k, rng)[2]
+    from the forward pass that is_gradient_and_objective runs."""
+    return _is_forward(params, batch, proposal, k, rng)[0]
 
 
 def update_normalizers(

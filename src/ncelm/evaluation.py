@@ -7,17 +7,19 @@ partition function is always summed out exactly.
 
 One kernel, _target_log_probs, computes ln P(target | context) row by
 row; perplexity, context_log_prob and the exact-likelihood objective all
-go through it. It converts the parameter tables to float64 once per
-call, and not at all when they already are float64. It scores the rows
-a chunk at a time into one reused buffer of at most _SCORE_BUFFER_ELEMS
-float64 values, and does the max shift, exp, sum and log in place. The
-completion scorers convert the parameters once on entry, so their
-per-position calls copy no table.
+go through it. It scores through model.scores_all, the same float64
+scorer that sampling and the gradient oracles use. It converts the
+target table and biases to float64 once per call, and not at all when
+they already are float64. It scores the rows a chunk at a time into one
+reused buffer of at most _SCORE_BUFFER_ELEMS float64 values, and does
+the max shift, exp, sum and log in place. The completion scorers
+convert the parameters once on entry, so their per-position calls copy
+no table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .corpus import (
     tokenize_line,
 )
 from .errors import ConfigError, IngestionError
-from .model import LblParams, predicted_representation_batch
+from .model import LblParams, scores_all
 
 BLANK_MARKER = "___"
 
@@ -59,8 +61,13 @@ def _target_log_probs(
     Scores chunk_rows rows at a time (by default as many as fit in
     _SCORE_BUFFER_ELEMS) into one buffer that every chunk reuses.
     """
-    table = params.target_vectors.astype(np.float64, copy=False).T
-    biases = params.biases.astype(np.float64, copy=False)
+    if params.target_vectors.dtype != np.float64 or params.biases.dtype != np.float64:
+        # Convert the two V-row tensors once here, not once per chunk.
+        params = replace(
+            params,
+            target_vectors=params.target_vectors.astype(np.float64),
+            biases=params.biases.astype(np.float64),
+        )
     n = targets.shape[0]
     v = params.vocab_size
     if chunk_rows is None:
@@ -70,10 +77,7 @@ def _target_log_probs(
     out = np.empty(n)
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)
-        scores = buffer[: hi - lo]
-        qhat = predicted_representation_batch(params, contexts[lo:hi], np.float64)
-        np.matmul(qhat, table, out=scores)
-        scores += biases
+        scores = scores_all(params, contexts[lo:hi], out=buffer[: hi - lo])
         scores -= scores.max(axis=1, keepdims=True)
         picked = scores[np.arange(hi - lo), targets[lo:hi]]
         np.exp(scores, out=scores)

@@ -3,10 +3,11 @@
 A context of word ids is mapped to a predicted feature vector by
 position-dependent linear transforms of per-word context vectors; a
 word's score is the dot product of that prediction with the word's
-target vector plus a per-word bias. Softmax over scores gives the
-normalized next-word distribution. Per-context log-normalizers, when
-trained instead of computed, live in a NormalizerStore keyed by the
-context id tuple.
+target vector plus a per-word bias. scores_all scores every word in
+float64, and full_distribution takes its softmax; every full-vocabulary
+pass except the exact-likelihood training gradient goes through
+scores_all. Per-context log-normalizers, when trained instead of
+computed, live in a NormalizerStore keyed by the context id tuple.
 
 Parameters are stored in float32 by default for training speed;
 probability arithmetic always accumulates in float64. Oracle tests use
@@ -155,14 +156,6 @@ def init_params(
     return LblParams(ctx, tgt, transforms, biases, matrix_mode, dim, context_size)
 
 
-def predicted_representation(params: LblParams, context) -> np.ndarray:
-    """Combine context word vectors through their position transforms."""
-    context = np.asarray(context, dtype=np.int64)
-    if context.shape[0] != params.context_size:
-        raise ConfigError("context length does not match context_size")
-    return predicted_representation_batch(params, context[None, :])[0]
-
-
 def predicted_representation_batch(
     params: LblParams, contexts: np.ndarray, dtype=None
 ) -> np.ndarray:
@@ -185,30 +178,41 @@ def predicted_representation_batch(
     return (transforms[None, :, :] * rows).sum(axis=1)
 
 
-def score(params: LblParams, qhat: np.ndarray, w: int) -> float:
-    """Compatibility score of word w with a predicted vector."""
-    return float(qhat @ params.target_vectors[w] + params.biases[w])
+def scores_all(params: LblParams, contexts: np.ndarray, out=None) -> np.ndarray:
+    """Float64 scores of every word for each context, shape (B, V).
 
-
-def scores_all(params: LblParams, qhat: np.ndarray) -> np.ndarray:
-    """Scores of every vocabulary word against one predicted vector."""
-    return params.target_vectors @ qhat + params.biases
-
-
-def full_distribution(params: LblParams, context) -> np.ndarray:
-    """Explicitly normalized next-word distribution for one context.
-
-    Softmax over all V scores, computed in float64 log space with
-    max-subtraction.
+    The one full-vocabulary scorer: evaluation, sampling and the
+    enumeration oracles all go through it. Writes into out when given.
+    Tables already stored in float64 are used without a copy.
     """
-    s = scores_all(params, predicted_representation(params, context)).astype(np.float64)
-    s -= s.max()
-    e = np.exp(s)
-    return e / e.sum()
+    qhat = predicted_representation_batch(params, contexts, np.float64)
+    scores = np.matmul(
+        qhat, params.target_vectors.astype(np.float64, copy=False).T, out=out
+    )
+    scores += params.biases.astype(np.float64, copy=False)
+    return scores
+
+
+def full_distribution(params: LblParams, contexts: np.ndarray) -> np.ndarray:
+    """Explicitly normalized next-word distributions, shape (B, V).
+
+    Softmax of scores_all, with the max shift, exp and normalization
+    done in place.
+    """
+    probs = scores_all(params, contexts)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def _mode_flags(params: LblParams, normalizers: NormalizerStore) -> tuple[int, int]:
     return MATRIX_MODES.index(params.matrix_mode), NORMALIZER_MODES.index(normalizers.mode)
+
+
+def _record_dtype(context_size: int) -> np.dtype:
+    """One per-context normalizer record: context ids, then the value."""
+    return np.dtype([("key", "<u4", (context_size,)), ("value", "<f4")])
 
 
 def save_checkpoint(path, params: LblParams, normalizers: NormalizerStore) -> None:
@@ -242,10 +246,9 @@ def save_checkpoint(path, params: LblParams, normalizers: NormalizerStore) -> No
             f.write(np.ascontiguousarray(params.biases, dtype="<f4").tobytes())
             if normalizers.mode == "per-context":
                 items = sorted(normalizers.table.items())
+                records = np.array(items, dtype=_record_dtype(params.context_size))
                 f.write(struct.pack("<I", len(items)))
-                for key, value in items:
-                    f.write(np.asarray(key, dtype="<u4").tobytes())
-                    f.write(np.float32(value).tobytes())
+                f.write(records.tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -304,7 +307,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[LblParams, NormalizerStore]
     normalizers = NormalizerStore(NORMALIZER_MODES[nflag])
     if normalizers.mode == "per-context":
         (count,) = struct.unpack_from("<I", data, take(4, "normalizer count"))
-        record = np.dtype([("key", "<u4", (c,)), ("value", "<f4")])
+        record = _record_dtype(c)
         start = take(count * record.itemsize, "normalizer records")
         records = np.frombuffer(data, dtype=record, count=count, offset=start)
         normalizers.table = dict(zip(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SupportError
+from .errors import ConfigError
 
 
 @dataclass
@@ -107,14 +107,6 @@ def sample(dist: NoiseDistribution, rng: np.random.Generator, size=None):
     if size is None:
         return int(out)
     return out
-
-
-def log_prob(dist: NoiseDistribution, w) -> float | np.ndarray:
-    """ln probs[w]; zero-probability lookups raise rather than return -inf."""
-    p = dist.probs[w]
-    if np.any(p == 0.0):
-        raise SupportError(f"noise distribution has zero probability at id {w}")
-    return dist.log_probs[w]
 
 
 def reconstructed_probs(dist: NoiseDistribution) -> np.ndarray:

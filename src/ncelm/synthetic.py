@@ -4,7 +4,8 @@ Builds a log-bilinear model with known parameters and draws corpora
 and fill-in-the-blank problems from it. Everything here runs in
 float64; a model we sample from is also the oracle we measure
 estimators against, so its probabilities should carry no storage
-noise.
+noise. Sampling draws from model.full_distribution, the softmax of the
+float64 scorer that evaluation uses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .corpus import OOS_ID, OOS_TOKEN, UNK_TOKEN, Vocabulary
 from .errors import ConfigError
 from .evaluation import CompletionProblem
-from .model import LblParams, predicted_representation_batch
+from .model import LblParams, full_distribution
 
 # Effectively removes a word from the sampler without leaving the
 # finite parameter range.
@@ -77,16 +78,6 @@ def make_vocab(vocab_size: int, counts: np.ndarray | None = None) -> Vocabulary:
     return Vocabulary(words=make_words(vocab_size), counts=counts)
 
 
-def _batch_distributions(params, contexts):
-    qhat = predicted_representation_batch(params, contexts, np.float64)
-    scores = qhat @ params.target_vectors.astype(np.float64).T
-    scores += params.biases.astype(np.float64)
-    scores -= scores.max(axis=1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
-
-
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One categorical draw per row by inverting each row's CDF."""
     cdf = np.cumsum(probs, axis=1)
@@ -124,7 +115,7 @@ def generate_sentences(
         ctx = np.full((m, c), oos_id, dtype=np.int64)
         for step in range(slab_max):
             active = np.flatnonzero(lengths > step)
-            probs = _batch_distributions(params, ctx[active])
+            probs = full_distribution(params, ctx[active])
             drawn = _sample_rows(probs, rng)
             out[active, step] = drawn
             ctx[active] = np.concatenate(

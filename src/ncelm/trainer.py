@@ -213,7 +213,7 @@ def sgd_step(
         raise DivergenceError("context_transforms")
     _apply_rows(
         params.biases,
-        gradient.bias_ids,
+        gradient.target_vector_ids,
         gradient.bias_grads,
         learning_rate,
         weight_penalty,

@@ -10,6 +10,7 @@ from ncelm.diagnostics import (
 )
 from ncelm.errors import DegenerateWeightsError, SupportError
 from ncelm.estimators import (
+    Gradient,
     exact_nce_gradient,
     is_gradient,
     ml_gradient,
@@ -19,7 +20,6 @@ from ncelm.estimators import (
     nce_gradient_and_objective,
     nce_objective,
     update_normalizers,
-    zero_gradient,
 )
 from ncelm.model import LblParams, NormalizerStore, init_params
 from ncelm.noise import from_counts, uniform
@@ -191,8 +191,11 @@ def test_is_raises_when_all_weights_vanish():
 
 
 def test_update_normalizers_accumulates_per_context():
-    grad = zero_gradient(init_params(3, 2, 2))
-    grad.normalizer_grads = {(1, 2): 2.0}
+    no_ids = np.empty(0, dtype=np.int64)
+    grad = Gradient(
+        no_ids, np.zeros((0, 2)), no_ids, np.zeros((0, 2)),
+        np.zeros((2, 2, 2)), np.zeros(0), {(1, 2): 2.0},
+    )
     store = NormalizerStore("per-context")
     update_normalizers(grad, store, 0.1)
     assert np.isclose(store.lookup([1, 2]), 0.2)

@@ -72,7 +72,7 @@ def test_perplexity_rejects_empty_dataset():
 def test_context_log_prob_matches_full_distribution():
     params = init_params(12, 3, 2, seed=1, dtype=np.float64)
     context = [4, 7]
-    dist = full_distribution(params, context)
+    dist = full_distribution(params, np.array([context]))[0]
     assert np.isclose(context_log_prob(params, context, 9), np.log(dist[9]), rtol=1e-12)
 
 

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from ncelm.errors import CheckpointFormatError, ConfigError
 from ncelm.model import (
@@ -12,10 +13,8 @@ from ncelm.model import (
     full_distribution,
     init_params,
     load_checkpoint,
-    predicted_representation,
     predicted_representation_batch,
     save_checkpoint,
-    score,
     scores_all,
 )
 
@@ -65,11 +64,8 @@ def _tiny_params(dtype=np.float64):
 def test_predicted_representation_diagonal_by_hand():
     p = _tiny_params()
     # position 0 scales row of word 2 by (2, 2); position 1 scales word 0 by (1, -1)
-    qhat = predicted_representation(p, [2, 0])
-    assert np.allclose(qhat, [2 * 2 + 1 * 1, 2 * 3 + (-1) * 0])
-
     batch = predicted_representation_batch(p, np.array([[2, 0], [1, 1]]))
-    assert np.allclose(batch[0], qhat)
+    assert np.allclose(batch[0], [2 * 2 + 1 * 1, 2 * 3 + (-1) * 0])
     assert np.allclose(batch[1], [0 * 2 + 0 * 1, 1 * 2 + 1 * (-1)])
 
 
@@ -90,14 +86,58 @@ def test_full_identity_matches_diagonal_ones():
 
 def test_scores_and_distribution_consistency():
     p = _tiny_params()
-    qhat = predicted_representation(p, [2, 0])
-    all_scores = scores_all(p, qhat)
-    assert np.isclose(score(p, qhat, 1), all_scores[1])
+    # Predicted vector of context [2, 0] is (5, 6); see the test above.
+    all_scores = scores_all(p, np.array([[2, 0]]))[0]
+    assert np.allclose(all_scores, [5 + 6 + 0.1, 2.5 - 3 - 0.2, 12 + 0.3])
 
-    dist = full_distribution(p, [2, 0])
+    dist = full_distribution(p, np.array([[2, 0]]))[0]
     assert np.isclose(dist.sum(), 1.0)
     manual = np.exp(all_scores - all_scores.max())
     assert np.allclose(dist, manual / manual.sum())
+
+
+def _random_params(dtype, mode, v=9, d=4, c=3, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (c, d, d) if mode == "full" else (c, d)
+    return LblParams(
+        rng.normal(size=(v, d)).astype(dtype), rng.normal(size=(v, d)).astype(dtype),
+        rng.normal(size=shape).astype(dtype), rng.normal(size=v).astype(dtype),
+        mode, d, c,
+    )
+
+
+@pytest.mark.parametrize("mode", ["full", "diagonal"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scores_all_matches_per_row_float64(dtype, mode):
+    p = _random_params(dtype, mode)
+    contexts = np.random.default_rng(1).integers(0, 9, size=(6, 3))
+    ctx64 = p.context_vectors.astype(np.float64)
+    tgt64 = p.target_vectors.astype(np.float64)
+    t64 = p.context_transforms.astype(np.float64)
+    expected = np.empty((6, 9))
+    for row, context in enumerate(contexts):
+        if mode == "full":
+            q = sum(t64[i] @ ctx64[w] for i, w in enumerate(context))
+        else:
+            q = sum(t64[i] * ctx64[w] for i, w in enumerate(context))
+        expected[row] = tgt64 @ q + p.biases.astype(np.float64)
+
+    got = scores_all(p, contexts)
+    assert got.dtype == np.float64
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    out = np.full((6, 9), np.nan)
+    assert scores_all(p, contexts, out=out) is out
+    assert np.array_equal(out, got)
+
+
+def test_full_distribution_rows_match_softmax():
+    p = _random_params(np.float32, "full")
+    contexts = np.random.default_rng(2).integers(0, 9, size=(5, 3))
+    dist = full_distribution(p, contexts)
+    expected = softmax(scores_all(p, contexts), axis=1)
+    assert dist.shape == (5, 9)
+    assert np.allclose(dist, expected, rtol=1e-12, atol=0.0)
 
 
 def test_normalizer_store_modes():
@@ -198,6 +238,27 @@ def test_checkpoint_bytes_are_little_endian_by_construction(tmp_path):
     assert params.context_transforms[0, 0] == 3.0
     assert params.biases[0] == 0.25
     assert store.mode == "fixed-one"
+
+    # Per-context records: uint32 count, then (uint32 ids..., float32
+    # value) per context in sorted order. Reading and writing back must
+    # reproduce the hand-packed bytes, which pins the write-side layout.
+    blob = CHECKPOINT_MAGIC
+    blob += struct.pack("<6I", CHECKPOINT_VERSION, 2, 1, 2, 1, 1)
+    blob += np.array([1.0, 2.0], dtype="<f4").tobytes()  # context vectors
+    blob += np.array([3.0, 4.0], dtype="<f4").tobytes()  # target vectors
+    blob += np.array([0.5, 1.5], dtype="<f4").tobytes()  # diagonal transforms
+    blob += np.array([-1.0, 1.0], dtype="<f4").tobytes()  # biases
+    blob += struct.pack("<I", 2)
+    blob += struct.pack("<2If", 0, 1, -0.75)
+    blob += struct.pack("<2If", 1, 0, 2.5)
+    path.write_bytes(blob)
+
+    params, store = load_checkpoint(path)
+    assert store.mode == "per-context"
+    assert store.table == {(0, 1): -0.75, (1, 0): 2.5}
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, params, store)
+    assert again.read_bytes() == blob
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

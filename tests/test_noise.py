@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ncelm.errors import ConfigError, SupportError
+from ncelm.errors import ConfigError
 from ncelm.noise import (
     from_counts,
-    log_prob,
     reconstructed_probs,
     sample,
     uniform,
@@ -40,15 +39,6 @@ def test_from_counts_validates_inputs():
         from_counts([0, 0], smoothing=0.0)
     with pytest.raises(ConfigError):
         from_counts([1, 2], smoothing=-0.5)
-
-
-def test_log_prob_raises_on_zero_support():
-    dist = from_counts([5, 0, 5], smoothing=0.0)
-    assert np.isclose(log_prob(dist, 0), np.log(0.5))
-    with pytest.raises(SupportError):
-        log_prob(dist, 1)
-    with pytest.raises(SupportError):
-        log_prob(dist, np.array([0, 1]))
 
 
 @pytest.mark.parametrize("v", [1, 2, 7, 1000, 100_000])

@@ -3,7 +3,7 @@ import pytest
 
 from ncelm.corpus import extract_pairs
 from ncelm.errors import ConfigError, DivergenceError
-from ncelm.estimators import zero_gradient
+from ncelm.estimators import Gradient
 from ncelm.model import NormalizerStore, init_params, load_checkpoint
 from ncelm.synthetic import corpus_vocab, generate_sentences, make_truth_params
 from ncelm.trainer import (
@@ -47,18 +47,37 @@ def test_train_config_dtype_follows_precision():
     assert TrainConfig(precision=64).dtype == np.float64
 
 
+def _gradient(params, ids=(), target_grads=None, bias_grads=None, normalizer_grads=None):
+    """A Gradient on the given target rows and their biases, with no
+    context-vector rows and zero transform gradients."""
+    ids = np.asarray(ids, dtype=np.int64)
+    d = params.dim
+    if target_grads is None:
+        target_grads = np.zeros((ids.size, d))
+    if bias_grads is None:
+        bias_grads = np.zeros(ids.size)
+    return Gradient(
+        context_vector_ids=np.empty(0, dtype=np.int64),
+        context_vector_grads=np.zeros((0, d)),
+        target_vector_ids=ids,
+        target_vector_grads=np.asarray(target_grads, dtype=np.float64),
+        transform_grads=np.zeros_like(params.context_transforms),
+        bias_grads=np.asarray(bias_grads, dtype=np.float64),
+        normalizer_grads=normalizer_grads or {},
+    )
+
+
 def test_sgd_step_applies_rows_by_hand():
     params = init_params(3, 2, 1, matrix_mode="diagonal", init_scale=0.0,
                          dtype=np.float64)
-    grad = zero_gradient(params)
-    grad.bias_ids = np.array([1])
-    grad.bias_grads = np.array([2.0])
-    grad.target_vector_ids = np.array([2])
-    grad.target_vector_grads = np.array([[1.0, -1.0]])
+    grad = _gradient(
+        params, [1, 2], target_grads=[[0.0, 0.0], [1.0, -1.0]], bias_grads=[2.0, 0.0]
+    )
     grad.transform_grads = np.ones_like(params.context_transforms)
 
     sgd_step(params, NormalizerStore(), grad, learning_rate=0.5)
     assert params.biases.tolist() == [0.0, 1.0, 0.0]
+    assert params.target_vectors[1].tolist() == [0.0, 0.0]
     assert params.target_vectors[2].tolist() == [0.5, -0.5]
     assert np.allclose(params.context_transforms, 1.5)  # identity gains + 0.5
 
@@ -67,10 +86,7 @@ def test_sgd_step_weight_penalty_decays_touched_rows_only():
     params = init_params(3, 2, 1, matrix_mode="diagonal", init_scale=0.0,
                          dtype=np.float64)
     params.biases[:] = [4.0, 1.0, 4.0]
-    grad = zero_gradient(params)
-    grad.bias_ids = np.array([1])
-    grad.bias_grads = np.array([2.0])
-    grad.transform_grads = np.zeros_like(params.context_transforms)
+    grad = _gradient(params, [1], bias_grads=[2.0])
 
     sgd_step(params, NormalizerStore(), grad, learning_rate=0.5, weight_penalty=0.2)
     # Touched row: 1.0 * (1 - 0.5 * 0.2) + 0.5 * 2.0; untouched rows keep their value.
@@ -79,18 +95,17 @@ def test_sgd_step_weight_penalty_decays_touched_rows_only():
     assert np.allclose(params.context_transforms, 0.9)
 
 
-def test_sgd_step_zero_gradient_is_identity():
+def test_sgd_step_empty_gradient_is_identity():
     params = init_params(5, 3, 2, seed=3)
     before = {k: v.copy() for k, v in params.tensors().items()}
-    sgd_step(params, NormalizerStore(), zero_gradient(params), 0.7)
+    sgd_step(params, NormalizerStore(), _gradient(params), 0.7)
     for name, tensor in params.tensors().items():
         assert np.array_equal(tensor, before[name]), name
 
 
 def test_sgd_step_updates_normalizer_store():
     params = init_params(3, 2, 2)
-    grad = zero_gradient(params)
-    grad.normalizer_grads = {(0, 1): 4.0}
+    grad = _gradient(params, normalizer_grads={(0, 1): 4.0})
     store = NormalizerStore("per-context")
     sgd_step(params, store, grad, 0.25)
     assert np.isclose(store.lookup([0, 1]), 1.0)
@@ -98,9 +113,7 @@ def test_sgd_step_updates_normalizer_store():
 
 def test_sgd_step_raises_on_nonfinite_update():
     params = init_params(3, 2, 1)
-    grad = zero_gradient(params)
-    grad.bias_ids = np.array([0])
-    grad.bias_grads = np.array([np.inf])
+    grad = _gradient(params, [0], bias_grads=[np.inf])
     with pytest.raises(DivergenceError, match="biases"):
         sgd_step(params, NormalizerStore(), grad, 0.1)
 

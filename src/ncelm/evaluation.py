@@ -6,20 +6,22 @@ per-context constants are a training device only; at evaluation time the
 partition function is always summed out exactly.
 
 One kernel, _target_log_probs, computes ln P(target | context) row by
-row; perplexity, context_log_prob and the exact-likelihood objective all
-go through it. It scores through model.scores_all, the same float64
-scorer that sampling and the gradient oracles use. It converts the
-target table and biases to float64 once per call, and not at all when
-they already are float64. It scores the rows a chunk at a time into one
+row; perplexity, context_log_prob, completion and the exact-likelihood
+objective all go through it. It scores through model.scores_all, the
+same float64 scorer that sampling and the gradient oracles use. It
+rejects word ids outside the model's vocabulary, converts the target
+table and biases to float64 once per call, and not at all when they
+already are float64. It scores the rows a chunk at a time into one
 reused buffer of at most _SCORE_BUFFER_ELEMS float64 values, and does
-the max shift, exp, sum and log in place. The completion scorers
-convert the parameters once on entry, so their per-position calls copy
-no table.
+the max shift, exp, sum and log in place. Completion ranks every
+problem of a call with one kernel call over only the rows whose
+log-probability differs between candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -59,8 +61,20 @@ def _target_log_probs(
     """ln P(target | context) for each row, explicitly normalized in float64.
 
     Scores chunk_rows rows at a time (by default as many as fit in
-    _SCORE_BUFFER_ELEMS) into one buffer that every chunk reuses.
+    _SCORE_BUFFER_ELEMS) into one buffer that every chunk reuses. Raises
+    ConfigError when a context or target id is outside the vocabulary.
     """
+    n = targets.shape[0]
+    v = params.vocab_size
+    if n:
+        smallest = min(contexts.min(), targets.min())
+        largest = max(contexts.max(), targets.max())
+        if smallest < 0 or largest >= v:
+            raise ConfigError(
+                f"word id {smallest if smallest < 0 else largest} is outside "
+                f"the model's vocabulary of size {v}; the vocabulary may "
+                "come from another run"
+            )
     if params.target_vectors.dtype != np.float64 or params.biases.dtype != np.float64:
         # Convert the two V-row tensors once here, not once per chunk.
         params = replace(
@@ -68,8 +82,6 @@ def _target_log_probs(
             target_vectors=params.target_vectors.astype(np.float64),
             biases=params.biases.astype(np.float64),
         )
-    n = targets.shape[0]
-    v = params.vocab_size
     if chunk_rows is None:
         chunk_rows = _SCORE_BUFFER_ELEMS // v
     chunk_rows = max(1, min(chunk_rows, n))
@@ -143,6 +155,16 @@ def score_sentence_unidirectional(
     )
 
 
+def _half_context(params: LblParams) -> int:
+    """h of a bidirectional model's [h before, h after] context layout."""
+    if params.context_size % 2 != 0:
+        raise ConfigError(
+            "bidirectional scoring needs an even context size, got "
+            f"{params.context_size}"
+        )
+    return params.context_size // 2
+
+
 def score_sentence_bidirectional(
     params: LblParams,
     sentence,
@@ -156,18 +178,13 @@ def score_sentence_bidirectional(
     ids] with context_size = 2h; both sides pad with oos_id past the
     sentence edge. One conditional distribution per candidate.
     """
-    if params.context_size % 2 != 0:
-        raise ConfigError(
-            "bidirectional scoring needs an even context size, got "
-            f"{params.context_size}"
-        )
+    half = _half_context(params)
     params = _float64_params(params)
     sent = [int(w) for w in sentence]
     if not 0 <= blank_position < len(sent):
         raise ConfigError(
             f"blank position {blank_position} outside sentence of length {len(sent)}"
         )
-    half = params.context_size // 2
     before = sent[max(0, blank_position - half) : blank_position]
     before = [oos_id] * (half - len(before)) + before
     after = sent[blank_position + 1 : blank_position + 1 + half]
@@ -200,30 +217,81 @@ class CompletionProblem:
             raise ConfigError(f"answer index {self.answer} outside [0, 5)")
 
 
+def _candidate_totals(
+    params: LblParams, problems, mode: str, width: int
+) -> np.ndarray:
+    """(problems, candidates) sums of the log-probabilities that differ
+    between a problem's candidates, from one kernel call.
+
+    uni: filling the blank changes only the targets at positions blank ..
+    blank + c (clipped at the sentence end): the candidate is the target
+    of the first and in the context of the rest. Every other position of
+    the sentence adds the same term to all candidates, so its row is left
+    out. bi: one row per candidate, the [h before, h after] context of
+    score_sentence_bidirectional with the candidate as target. width is
+    c for uni and h for bi.
+    """
+    lengths = np.array([len(p.sentence) for p in problems], dtype=np.int64)
+    blanks = np.array([p.blank_position for p in problems], dtype=np.int64)
+    candidates = np.array([p.candidates for p in problems], dtype=np.int64)
+    n_problems, n_candidates = candidates.shape
+    words = np.fromiter(
+        chain.from_iterable(p.sentence for p in problems), np.int64, lengths.sum()
+    )
+    # Sentence positions blank - width .. blank + width, OOS_ID outside.
+    positions = blanks[:, None] + np.arange(-width, width + 1)
+    inside = (positions >= 0) & (positions < lengths[:, None])
+    starts = np.cumsum(lengths) - lengths
+    window = np.where(
+        inside, words[starts[:, None] + np.where(inside, positions, 0)], OOS_ID
+    )
+    if mode == "bi":
+        contexts = np.repeat(np.delete(window, width, axis=1), n_candidates, axis=0)
+        targets = candidates.ravel()
+        groups = np.arange(targets.size)
+    else:
+        filled = np.repeat(window[:, None, :], n_candidates, axis=1)
+        filled[:, :, width] = candidates
+        # Row i is the context and target of sentence position blank + i.
+        rows = np.lib.stride_tricks.sliding_window_view(filled, width + 1, axis=2)
+        keep = np.arange(width + 1) < (lengths - blanks)[:, None]
+        keep = np.broadcast_to(keep[:, None, :], rows.shape[:3])
+        picked = rows[keep]
+        contexts, targets = picked[:, :width], picked[:, width]
+        groups = np.broadcast_to(
+            np.arange(n_problems * n_candidates).reshape(n_problems, n_candidates, 1),
+            keep.shape,
+        )[keep]
+    log_probs = _target_log_probs(params, contexts, targets)
+    totals = np.bincount(groups, weights=log_probs, minlength=candidates.size)
+    return totals.reshape(n_problems, n_candidates)
+
+
 def answer_completion(
     params: LblParams, problem: CompletionProblem, mode: str = "uni"
 ) -> int:
     """Index of the highest-scoring candidate; ties go to the lowest index."""
-    if mode == "uni":
-        scorer = score_sentence_unidirectional
-    elif mode == "bi":
-        scorer = score_sentence_bidirectional
-    else:
-        raise ConfigError(f"unknown completion mode {mode!r}")
-    params = _float64_params(params)
-    scores = [
-        scorer(params, problem.sentence, problem.blank_position, cand)
-        for cand in problem.candidates
-    ]
-    return int(np.argmax(scores))
+    return completion_accuracy(params, [problem], mode)[0][0]
 
 
 def completion_accuracy(
     params: LblParams, problems, mode: str = "uni"
 ) -> tuple[list[int], float | None]:
-    """Answer every problem; accuracy is over problems with known answers."""
-    params = _float64_params(params)
-    choices = [answer_completion(params, p, mode) for p in problems]
+    """Answer every problem; accuracy is over problems with known answers.
+
+    All problems are ranked together with one kernel call; each choice is
+    the index of the highest-scoring candidate, ties to the lowest index.
+    """
+    if mode == "uni":
+        width = params.context_size
+    elif mode == "bi":
+        width = _half_context(params)
+    else:
+        raise ConfigError(f"unknown completion mode {mode!r}")
+    if not problems:
+        return [], None
+    totals = _candidate_totals(_float64_params(params), problems, mode, width)
+    choices = np.argmax(totals, axis=1).tolist()
     graded = [
         (c, p.answer) for c, p in zip(choices, problems) if p.answer is not None
     ]

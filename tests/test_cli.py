@@ -190,3 +190,26 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "speedup=45.3333" in proc.stdout
+
+
+def test_vocabulary_larger_than_the_model_is_a_named_error(workdir, capsys, tmp_path):
+    root, _, _, vocab_path = workdir
+    out, rc = _train(workdir, "range-model.ckpt")
+    assert rc == 0
+    bigger = tmp_path / "bigger-vocab.txt"
+    bigger.write_text(vocab_path.read_text(encoding="utf-8") + "zzextra\t1\n",
+                      encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("w0005 zzextra w0007\n", encoding="utf-8")
+    problems = tmp_path / "problems.tsv"
+    problems.write_text("w0005 ___ w0007\tw0002|zzextra|w0025|w0031|w0038\n",
+                        encoding="utf-8")
+    for argv in (
+        ["ppl", str(out), str(corpus), "--vocab", str(bigger)],
+        ["complete", str(out), str(problems), "--vocab", str(bigger)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: word id 40 is outside the model's vocabulary of size 40" in err
+        assert "Traceback" not in err

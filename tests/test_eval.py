@@ -154,6 +154,84 @@ def test_completion_accuracy_counts_only_answered_problems():
     assert accuracy is None
 
 
+def test_completion_accuracy_of_no_problems_still_checks_the_mode():
+    params = init_params(10, 2, 2, dtype=np.float64)
+    assert completion_accuracy(params, []) == ([], None)
+    assert completion_accuracy(params, [], "bi") == ([], None)
+    with pytest.raises(ConfigError, match="unknown completion mode"):
+        completion_accuracy(params, [], "both")
+
+
+def test_out_of_range_word_ids_raise_config_error():
+    params = init_params(10, 2, 2, seed=1, dtype=np.float64)
+    with pytest.raises(ConfigError, match="word id 12 .* vocabulary of size 10"):
+        completion_accuracy(params, [CompletionProblem([3, 4, 5], 1, [2, 12, 6, 7, 8])])
+    with pytest.raises(ConfigError, match="word id 14 .* vocabulary of size 10"):
+        perplexity(params, extract_pairs([[3, 14, 5]], 2))
+    with pytest.raises(ConfigError, match="word id -1 "):
+        evaluation._target_log_probs(params, np.array([[3, -1]]), np.array([4]))
+
+
+def _random_problems(vocab_size, count, rng):
+    """Problems of 1 to 7 words, blanks anywhere (first, second-to-last
+    and last included), distinct candidates."""
+    problems = []
+    for i in range(count):
+        length = 1 + i % 7
+        sentence = rng.integers(2, vocab_size, size=length).tolist()
+        blank = [0, length - 1, max(0, length - 2), length // 2][i % 4]
+        candidates = rng.choice(np.arange(2, vocab_size), 5, replace=False).tolist()
+        problems.append(CompletionProblem(sentence, blank, candidates))
+    return problems
+
+
+@pytest.mark.parametrize(
+    "mode,context_size", [("uni", 1), ("uni", 2), ("uni", 3), ("bi", 2), ("bi", 4)]
+)
+def test_batched_ranker_matches_public_sentence_scorers(mode, context_size):
+    params = init_params(40, 4, context_size, init_scale=0.8, seed=context_size,
+                         dtype=np.float64)
+    params.biases[:] = np.random.default_rng(0).normal(0.0, 1.0, 40)
+    params = params.astype(np.float32)
+    problems = _random_problems(40, 56, np.random.default_rng(context_size))
+    scorer = {"uni": score_sentence_unidirectional,
+              "bi": score_sentence_bidirectional}[mode]
+    full = np.array([
+        [scorer(params, p.sentence, p.blank_position, c) for c in p.candidates]
+        for p in problems
+    ])
+    choices, _ = completion_accuracy(params, problems, mode)
+    assert choices == np.argmax(full, axis=1).tolist()
+    assert [answer_completion(params, p, mode) for p in problems] == choices
+    # The dropped rows add the same term to every candidate of a problem.
+    width = context_size if mode == "uni" else context_size // 2
+    totals = evaluation._candidate_totals(
+        params.astype(np.float64), problems, mode, width
+    )
+    np.testing.assert_allclose(
+        totals - totals[:, :1], full - full[:, :1], rtol=0, atol=1e-9
+    )
+
+
+@pytest.mark.parametrize("count", [1, 7, 40])
+def test_completion_makes_one_kernel_call(monkeypatch, count):
+    params = init_params(30, 3, 2, seed=4, dtype=np.float32)
+    problems = _random_problems(30, count, np.random.default_rng(count))
+    calls = []
+    real = evaluation._target_log_probs
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_target_log_probs", counting)
+    for mode in ("uni", "bi"):
+        calls.clear()
+        completion_accuracy(params, problems, mode)
+        assert len(calls) == 1
+    assert calls == [5 * count]
+
+
 def test_completion_problem_validation():
     with pytest.raises(ConfigError):
         CompletionProblem([1, 2], 5, [0, 1, 2, 3, 4])

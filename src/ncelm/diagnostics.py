@@ -31,9 +31,10 @@ FD_STEP = 1e-5
 def flatten_params(
     params: LblParams,
     normalizers: NormalizerStore | None = None,
-    norm_keys=(),
+    norm_ids=(),
 ) -> np.ndarray:
-    """All parameters as one float64 vector, normalizer entries last."""
+    """All parameters as one float64 vector, then the normalizer entries
+    with the given entry ids."""
     parts = [
         np.asarray(t, dtype=np.float64).ravel()
         for t in (
@@ -43,20 +44,15 @@ def flatten_params(
             params.biases,
         )
     ]
-    if norm_keys:
-        parts.append(
-            np.array(
-                [normalizers.table.get(key, 0.0) for key in norm_keys],
-                dtype=np.float64,
-            )
-        )
+    if len(norm_ids):
+        parts.append(normalizers.values[norm_ids])
     return np.concatenate(parts)
 
 
 def unflatten_params(
     params: LblParams,
     normalizers: NormalizerStore,
-    norm_keys,
+    norm_ids,
     vector: np.ndarray,
 ) -> tuple[LblParams, NormalizerStore]:
     """Rebuild float64 parameters and normalizers from a flat vector."""
@@ -72,9 +68,9 @@ def unflatten_params(
         tensor[...] = vector[offset : offset + n].reshape(tensor.shape)
         offset += n
     store = normalizers.copy()
-    for key in norm_keys:
-        store.table[key] = float(vector[offset])
-        offset += 1
+    if len(norm_ids):
+        store.assign(norm_ids, vector[offset : offset + len(norm_ids)])
+        offset += len(norm_ids)
     if offset != vector.size:
         raise ConfigError(
             f"vector has {vector.size} entries, expected {offset}"
@@ -83,7 +79,7 @@ def unflatten_params(
 
 
 def flatten_gradient(
-    gradient: Gradient, params: LblParams, norm_keys=()
+    gradient: Gradient, params: LblParams, norm_ids=()
 ) -> np.ndarray:
     """Densify a sparse Gradient into the flatten_params layout."""
     v, d = params.vocab_size, params.dim
@@ -99,12 +95,10 @@ def flatten_gradient(
         np.asarray(gradient.transform_grads, dtype=np.float64).ravel(),
         bias,
     ]
-    if norm_keys:
-        parts.append(
-            np.array(
-                [gradient.normalizer_grads.get(key, 0.0) for key in norm_keys]
-            )
-        )
+    if len(norm_ids):
+        ids, sums = gradient.normalizer_grads
+        by_id = dict(zip(ids.tolist(), sums.tolist()))
+        parts.append(np.array([by_id.get(i, 0.0) for i in np.asarray(norm_ids).tolist()]))
     return np.concatenate(parts)
 
 
@@ -112,7 +106,7 @@ def finite_difference_gradient(
     objective_fn,
     params: LblParams,
     normalizers: NormalizerStore | None = None,
-    norm_keys=(),
+    norm_ids=(),
     step: float = FD_STEP,
 ) -> np.ndarray:
     """Central differences of objective_fn over every parameter.
@@ -123,14 +117,14 @@ def finite_difference_gradient(
     """
     if normalizers is None:
         normalizers = NormalizerStore(mode="fixed-one")
-    base = flatten_params(params, normalizers, norm_keys)
+    base = flatten_params(params, normalizers, norm_ids)
     grad = np.empty_like(base)
     probe = base.copy()
     for i in range(base.size):
         probe[i] = base[i] + step
-        plus = objective_fn(*unflatten_params(params, normalizers, norm_keys, probe))
+        plus = objective_fn(*unflatten_params(params, normalizers, norm_ids, probe))
         probe[i] = base[i] - step
-        minus = objective_fn(*unflatten_params(params, normalizers, norm_keys, probe))
+        minus = objective_fn(*unflatten_params(params, normalizers, norm_ids, probe))
         probe[i] = base[i]
         grad[i] = (plus - minus) / (2.0 * step)
     return grad
@@ -157,7 +151,9 @@ def random_instance(
     matrix_mode: str | None = None,
     normalizer_mode: str = "per-context",
 ):
-    """A small random model, batch, and noise distribution for checks.
+    """A small random model, batch, and noise distribution for checks,
+    plus the normalizer entry ids of the batch's distinct contexts in
+    sorted order (empty outside per-context mode).
 
     Shapes default to random draws within desk-scale bounds (V <= 50,
     d <= 8, c <= 3); matrix mode alternates with the seed unless pinned.
@@ -184,13 +180,11 @@ def random_instance(
     targets = rng.integers(0, v, size=batch_size).astype(np.int64)
     noise = from_counts(rng.integers(1, 20, size=v).astype(np.int64))
     normalizers = NormalizerStore(mode=normalizer_mode)
-    norm_keys = sorted({tuple(int(i) for i in row) for row in contexts})
+    norm_ids = np.empty(0, dtype=np.int64)
     if normalizer_mode == "per-context":
-        for key in norm_keys:
-            normalizers.table[key] = float(rng.normal(0.0, 0.3))
-    else:
-        norm_keys = []
-    return params, normalizers, (contexts, targets), noise, norm_keys
+        norm_ids = normalizers.register(np.unique(contexts, axis=0))
+        normalizers.assign(norm_ids, rng.normal(0.0, 0.3, size=len(norm_ids)))
+    return params, normalizers, (contexts, targets), noise, norm_ids
 
 
 def gradient_check(
@@ -199,7 +193,7 @@ def gradient_check(
     """Max relative error of each estimator's gradient against central
     finite differences of its own objective, samples frozen by replaying
     one rng seed. Includes the per-context normalizer coordinates."""
-    params, normalizers, batch, noise, norm_keys = random_instance(
+    params, normalizers, batch, noise, norm_ids = random_instance(
         seed, batch_size=batch_size
     )
     draw_seed = np.random.SeedSequence([seed, 77]).generate_state(1)[0]
@@ -208,10 +202,10 @@ def gradient_check(
     grad = estimators.ml_gradient(params, normalizers, batch)
     fd = finite_difference_gradient(
         lambda p, nm: estimators.ml_objective(p, nm, batch),
-        params, normalizers, norm_keys, step,
+        params, normalizers, norm_ids, step,
     )
     errors["ml"] = max_relative_error(
-        flatten_gradient(grad, params, norm_keys), fd
+        flatten_gradient(grad, params, norm_ids), fd
     )
 
     for share in (False, True):
@@ -225,10 +219,10 @@ def gradient_check(
                 p, nm, batch, noise, k,
                 np.random.default_rng(draw_seed), share_samples=share,
             ),
-            params, normalizers, norm_keys, step,
+            params, normalizers, norm_ids, step,
         )
         errors[label] = max_relative_error(
-            flatten_gradient(grad, params, norm_keys), fd
+            flatten_gradient(grad, params, norm_ids), fd
         )
 
     grad, _ = estimators.is_gradient(
@@ -238,30 +232,29 @@ def gradient_check(
         lambda p, nm: estimators.is_objective(
             p, nm, batch, noise, k, np.random.default_rng(draw_seed)
         ),
-        params, normalizers, norm_keys, step,
+        params, normalizers, norm_ids, step,
     )
     errors["is"] = max_relative_error(
-        flatten_gradient(grad, params, norm_keys), fd
+        flatten_gradient(grad, params, norm_ids), fd
     )
     return errors
 
 
 def exact_oracle_check(seed: int = 0, k: int = 7, step: float = FD_STEP) -> float:
     """Finite-difference check of the enumeration oracle itself."""
-    params, normalizers, batch, noise, norm_keys = random_instance(seed)
+    params, normalizers, batch, noise, norm_ids = random_instance(seed)
     rng = np.random.default_rng(seed + 1)
     data_dist = rng.dirichlet(np.ones(params.vocab_size))
     context = batch[0][0]
-    key = tuple(int(i) for i in context)
-    keys = [key]
+    ids = normalizers.register(context[None, :])
     grad = exact_nce_gradient(params, normalizers, data_dist, context, noise, k)
     fd = finite_difference_gradient(
         lambda p, nm: estimators.exact_nce_objective(
             p, nm, data_dist, context, noise, k
         ),
-        params, normalizers, keys, step,
+        params, normalizers, ids, step,
     )
-    return max_relative_error(flatten_gradient(grad, params, keys), fd)
+    return max_relative_error(flatten_gradient(grad, params, ids), fd)
 
 
 def nce_limit_gaps(seed: int = 0, k_grid=(1, 10, 100, 1000, 10_000)):
@@ -277,21 +270,22 @@ def nce_limit_gaps(seed: int = 0, k_grid=(1, 10, 100, 1000, 10_000)):
     )
     rng = np.random.default_rng(seed + 1000)
     context = batch[0][0]
-    key = tuple(int(i) for i in context)
-    normalizers.table[key] = float(-logsumexp(scores_all(params, context[None, :])[0]))
+    normalizers.set_values(
+        context[None, :], [-logsumexp(scores_all(params, context[None, :])[0])]
+    )
 
     data_dist = rng.dirichlet(np.ones(params.vocab_size))
-    keys = [key]
+    ids = normalizers.register(context[None, :])
     ml_vec = flatten_gradient(
         expected_ml_gradient(params, normalizers, data_dist, context),
-        params, keys,
+        params, ids,
     )
     ml_norm = float(np.linalg.norm(ml_vec))
     gaps = []
     for k in k_grid:
         vec = flatten_gradient(
             exact_nce_gradient(params, normalizers, data_dist, context, noise, k),
-            params, keys,
+            params, ids,
         )
         gaps.append(float(np.linalg.norm(vec - ml_vec)) / ml_norm)
     return list(k_grid), gaps

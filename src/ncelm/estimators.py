@@ -42,6 +42,10 @@ from .model import (
 from .noise import NoiseDistribution, sample as noise_sample
 
 
+def _no_normalizer_grads() -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(0, dtype=np.int64), np.empty(0)
+
+
 @dataclass
 class Gradient:
     """Sparse gradient over the model's tensors.
@@ -50,8 +54,10 @@ class Gradient:
     vector per id. A word's score depends on its target vector and its
     bias together, so bias_grads holds one scalar per target_vector_ids
     entry. Transform gradients are dense because every example touches
-    every position transform. Normalizer terms map context tuples to
-    scalar gradients and are empty outside per-context mode.
+    every position transform. normalizer_grads holds (distinct entry ids
+    of the NormalizerStore the gradient was computed against, one
+    float64 gradient per id); both arrays are empty outside per-context
+    mode.
     """
 
     context_vector_ids: np.ndarray
@@ -60,7 +66,9 @@ class Gradient:
     target_vector_grads: np.ndarray
     transform_grads: np.ndarray
     bias_grads: np.ndarray
-    normalizer_grads: dict[tuple[int, ...], float] = field(default_factory=dict)
+    normalizer_grads: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=_no_normalizer_grads
+    )
 
 
 @dataclass
@@ -196,7 +204,7 @@ def ml_gradient_and_objective(params, normalizers, batch):
     return (
         Gradient(
             cids, cgrads, all_ids, target_grads.astype(dtype),
-            tgrads, bias_grads.astype(dtype), {},
+            tgrads, bias_grads.astype(dtype),
         ),
         objective,
     )
@@ -297,12 +305,12 @@ def _nce_backward(params, normalizers, contexts, words, qhat, tw, z):
 
 
 def _normalizer_residuals(normalizers, contexts, per_example):
-    norm_grads: dict[tuple[int, ...], float] = {}
-    if normalizers.mode == "per-context":
-        for row, g in zip(contexts, per_example):
-            key = tuple(int(i) for i in row)
-            norm_grads[key] = norm_grads.get(key, 0.0) + float(g)
-    return norm_grads
+    """Gradient.normalizer_grads of per-example terms: one sum per
+    distinct context, which np.bincount adds in batch order."""
+    if normalizers.mode != "per-context":
+        return _no_normalizer_grads()
+    ids, inverse = np.unique(normalizers.register(contexts), return_inverse=True)
+    return ids, np.bincount(inverse, weights=per_example)
 
 
 def _nce_shared_forward(params, normalizers, batch, noise, k, rng):
@@ -404,9 +412,9 @@ def _enumerated_gradient(params, normalizers, context, coefs, norm_grad):
     g_qhat = (coefs @ tgt64).astype(params.dtype)
     cids, cgrads, tgrads = _context_side(params, contexts, g_qhat[None, :])
     all_ids = np.arange(params.vocab_size, dtype=np.int64)
-    norm_grads = {}
+    norm_grads = _no_normalizer_grads()
     if normalizers.mode == "per-context":
-        norm_grads[tuple(int(i) for i in context)] = norm_grad
+        norm_grads = (normalizers.register(contexts), np.array([norm_grad]))
     return Gradient(
         cids, cgrads, all_ids, target_grads.astype(params.dtype),
         tgrads, coefs.astype(params.dtype), norm_grads,
@@ -549,7 +557,7 @@ def _is_backward(params, contexts, words, qhat, tw, log_v, log_total):
     bias_grads = bias_dense[tids].astype(dtype)
     g_qhat = np.matmul(coefs.astype(dtype)[:, None, :], tw)[:, 0, :]
     cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
-    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads, {}), stats
+    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads), stats
 
 
 def is_objective(
@@ -570,13 +578,13 @@ def update_normalizers(
 ) -> NormalizerStore:
     """Apply SGD steps to per-context log-normalizers in place.
 
-    Fixed-one stores ignore normalizer gradients entirely. Unseen
-    contexts start from 0, so their first update lands at
+    Fixed-one stores ignore normalizer gradients entirely. The
+    gradient's entry ids must come from this store (or a copy of it).
+    An entry not updated before holds 0, so its first update lands at
     learning_rate * gradient.
     """
     if normalizers.mode != "per-context":
         return normalizers
-    table = normalizers.table
-    for key, g in gradient.normalizer_grads.items():
-        table[key] = table.get(key, 0.0) + learning_rate * g
+    ids, sums = gradient.normalizer_grads
+    normalizers.add(ids, learning_rate * sums)
     return normalizers

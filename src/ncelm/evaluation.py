@@ -290,7 +290,7 @@ def completion_accuracy(
         raise ConfigError(f"unknown completion mode {mode!r}")
     if not problems:
         return [], None
-    totals = _candidate_totals(_float64_params(params), problems, mode, width)
+    totals = _candidate_totals(params, problems, mode, width)
     choices = np.argmax(totals, axis=1).tolist()
     graded = [
         (c, p.answer) for c, p in zip(choices, problems) if p.answer is not None

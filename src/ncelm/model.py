@@ -7,7 +7,9 @@ target vector plus a per-word bias. scores_all scores every word in
 float64, and full_distribution takes its softmax; every full-vocabulary
 pass except the exact-likelihood training gradient goes through
 scores_all. Per-context log-normalizers, when trained instead of
-computed, live in a NormalizerStore keyed by the context id tuple.
+computed, live in a NormalizerStore: dense float64 values indexed by
+entry id, found by binary search over contexts packed into sorted int64
+codes.
 
 Parameters are stored in float32 by default for training speed;
 probability arithmetic always accumulates in float64. Oracle tests use
@@ -19,7 +21,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,36 +85,221 @@ class LblParams:
         )
 
 
-@dataclass
+# Largest word id a normalizer key can hold: checkpoints store ids as uint32.
+_MAX_KEY_ID = 2**32 - 1
+
+
 class NormalizerStore:
     """Per-context log-normalizers, or the constant 0 in fixed-one mode.
+
+    Entries live in dense arrays indexed by entry id: the context rows
+    (int64, one row per entry), float64 values and a mask of touched
+    entries. Registering a context appends an untouched entry with
+    value 0, so entry ids never change; an entry is touched once it is
+    written or updated, and only touched entries are stored (table,
+    checkpoints). train() registers every training context at its
+    start; any other caller that meets an unseen context registers it
+    on the fly.
+
+    Lookups pack each context into one int64 code, position 0 most
+    significant in radix (largest registered id + 1), so the sorted
+    codes sort like the id tuples, and binary-search them. When
+    radix ** context_size would overflow int64, rows are matched and
+    ordered with np.unique(axis=0) instead.
 
     Unseen contexts read as 0 until their first update, so a freshly
     constructed per-context store behaves exactly like fixed-one.
     """
 
-    mode: str = "fixed-one"
-    table: dict[tuple[int, ...], float] = field(default_factory=dict)
+    def __init__(self, mode: str = "fixed-one", table=None):
+        if mode not in NORMALIZER_MODES:
+            raise ConfigError(f"unknown normalizer mode {mode!r}")
+        self.mode = mode
+        self.context_size: int | None = None
+        self._keys = np.empty((0, 0), dtype=np.int64)
+        self._values = np.empty(0)
+        self._touched = np.empty(0, dtype=bool)
+        self._touched_count = 0
+        # Entry ids in sorted key order, and their packed codes (None
+        # when the keys do not pack into int64).
+        self._order = np.empty(0, dtype=np.int64)
+        self._codes: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self._radix = 1
+        self._weights = np.empty(0, dtype=np.int64)  # radix ** (c - 1 - i)
+        if table:
+            self.set_values(list(table), list(table.values()))
 
-    def __post_init__(self):
-        if self.mode not in NORMALIZER_MODES:
-            raise ConfigError(f"unknown normalizer mode {self.mode!r}")
+    @property
+    def table(self) -> "Mapping[tuple[int, ...], float]":
+        """Read-only view of the touched entries: context tuple -> value."""
+        return _NormalizerTable(self)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Values by entry id, as a read-only view."""
+        view = self._values.view()
+        view.flags.writeable = False
+        return view
+
+    def _rows(self, contexts) -> np.ndarray:
+        rows = np.asarray(contexts, dtype=np.int64)
+        if rows.size == 0:
+            return rows.reshape(0, self.context_size or 0)
+        if rows.ndim != 2:
+            raise ConfigError(f"contexts must be rows of word ids, got shape {rows.shape}")
+        if self.context_size is not None and rows.shape[1] != self.context_size:
+            raise ConfigError(
+                f"context of {rows.shape[1]} words for a normalizer store "
+                f"keyed by {self.context_size}"
+            )
+        return rows
+
+    def _pack(self, rows: np.ndarray) -> np.ndarray:
+        """One int64 code per row, position 0 most significant, so codes
+        sort like the id tuples; -1 for a row holding an id outside
+        [0, radix). rows must be non-empty."""
+        codes = rows @ self._weights
+        unsigned = rows.view(np.uint64)  # a negative id reads as huge
+        if unsigned.max() >= self._radix:
+            codes[(unsigned >= self._radix).any(axis=1)] = -1
+        return codes
+
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """Entry ids of the rows, -1 where a row has no entry."""
+        n = len(self._keys)
+        if n == 0 or len(rows) == 0:
+            return np.full(len(rows), -1, dtype=np.int64)
+        if self._codes is None:
+            _, inverse = np.unique(
+                np.concatenate([self._keys, rows]), axis=0, return_inverse=True
+            )
+            inverse = inverse.reshape(-1)
+            entry = np.full(inverse.max() + 1, -1, dtype=np.int64)
+            entry[inverse[:n]] = np.arange(n)
+            return entry[inverse[n:]]
+        codes = self._pack(rows)
+        pos = np.searchsorted(self._codes, codes)
+        np.minimum(pos, n - 1, out=pos)
+        absent = self._codes[pos] != codes
+        # take buffers its output in the default mode, so the result can
+        # reuse the position array.
+        ids = np.take(self._order, pos, out=pos)
+        ids[absent] = -1
+        return ids
+
+    def _add_keys(self, rows: np.ndarray) -> None:
+        """Append one untouched entry per distinct row; no row may have
+        an entry yet."""
+        if rows.min() < 0 or rows.max() > _MAX_KEY_ID:
+            raise ConfigError(
+                f"normalizer contexts hold word ids in [0, {_MAX_KEY_ID}], "
+                f"got {rows.min() if rows.min() < 0 else rows.max()}"
+            )
+        c = rows.shape[1]
+        old = self._keys.reshape(-1, c)
+        self.context_size = c
+        self._radix = radix = max(self._radix, int(rows.max()) + 1)
+        if radix**c <= 2**63:
+            self._weights = np.array([radix ** (c - 1 - i) for i in range(c)], dtype=np.int64)
+            # Unpacking the distinct codes needs no index arrays, which
+            # keeps train()'s one large registration small in memory.
+            new = np.unique(self._pack(rows))
+            keys = np.empty((len(new), c), dtype=np.int64)
+            for i in range(c - 1, 0, -1):
+                new, keys[:, i] = np.divmod(new, radix)
+            keys[:, 0] = new
+            keys = np.concatenate([old, keys])
+            codes = self._pack(keys)
+            self._order = np.argsort(codes)
+            self._codes = codes[self._order]
+        else:
+            keys = np.concatenate([old, np.unique(rows, axis=0)])
+            self._order = np.unique(keys, axis=0, return_index=True)[1]
+            self._codes = None
+        grow = len(keys) - len(old)
+        self._keys = keys
+        self._values = np.concatenate([self._values, np.zeros(grow)])
+        self._touched = np.concatenate([self._touched, np.zeros(grow, dtype=bool)])
+
+    def register(self, contexts) -> np.ndarray:
+        """Entry ids of the context rows, registering each context not
+        yet in the store as an untouched entry with value 0."""
+        rows = self._rows(contexts)
+        ids = self._find(rows)
+        missing = ids < 0
+        if missing.any():
+            self._add_keys(rows[missing])
+            ids = self._find(rows)
+        return ids
 
     def lookup(self, context) -> float:
-        if self.mode == "fixed-one":
-            return 0.0
-        return self.table.get(tuple(int(i) for i in context), 0.0)
+        return float(self.lookup_batch(np.asarray(context, dtype=np.int64)[None, :])[0])
 
     def lookup_batch(self, contexts: np.ndarray) -> np.ndarray:
-        out = np.zeros(contexts.shape[0], dtype=np.float64)
-        if self.mode == "per-context" and self.table:
-            get = self.table.get
-            for j, row in enumerate(contexts):
-                out[j] = get(tuple(int(i) for i in row), 0.0)
-        return out
+        if self.mode == "fixed-one" or self._touched_count == 0:
+            return np.zeros(len(contexts))
+        ids = self._find(self._rows(contexts))
+        return np.where(ids >= 0, self._values[ids], 0.0)
+
+    def _touch(self, ids: np.ndarray) -> None:
+        touched = self._touched[ids]
+        if not touched.all():
+            fresh = np.unique(ids[~touched])
+            self._touched[fresh] = True
+            self._touched_count += fresh.size
+
+    def set_values(self, contexts, values) -> None:
+        """Write values for the context rows, registering unseen ones."""
+        self.assign(self.register(contexts), values)
+
+    def assign(self, ids: np.ndarray, values) -> None:
+        """values[ids] = values by entry id, touching the entries."""
+        self._touch(ids)
+        self._values[ids] = values
+
+    def add(self, ids: np.ndarray, deltas: np.ndarray) -> None:
+        """values[ids] += deltas for distinct entry ids, touching them."""
+        self._touch(ids)
+        self._values[ids] += deltas
+
+    def touched_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Context rows and values of the touched entries, in sorted
+        context order."""
+        ids = self._order[self._touched[self._order]]
+        return self._keys[ids], self._values[ids]
 
     def copy(self) -> "NormalizerStore":
-        return NormalizerStore(self.mode, dict(self.table))
+        # Key, order and code arrays are replaced, never written in
+        # place, so the copy shares them.
+        new = object.__new__(NormalizerStore)
+        new.__dict__.update(self.__dict__)
+        new._values = self._values.copy()
+        new._touched = self._touched.copy()
+        return new
+
+
+class _NormalizerTable(Mapping):
+    """Read-only mapping view of a store's touched entries, context id
+    tuple -> value, iterated in sorted context order; len is O(1)."""
+
+    def __init__(self, store: NormalizerStore):
+        self._store = store
+
+    def __len__(self) -> int:
+        return self._store._touched_count
+
+    def __iter__(self):
+        keys, _ = self._store.touched_entries()
+        return map(tuple, keys.tolist())
+
+    def __getitem__(self, key) -> float:
+        store = self._store
+        if store.context_size is None or len(key) != store.context_size:
+            raise KeyError(key)
+        i = store._find(np.asarray([key], dtype=np.int64))[0]
+        if i < 0 or not store._touched[i]:
+            raise KeyError(key)
+        return float(store._values[i])
 
 
 def init_params(
@@ -245,9 +433,12 @@ def save_checkpoint(path, params: LblParams, normalizers: NormalizerStore) -> No
             f.write(np.ascontiguousarray(params.context_transforms, dtype="<f4").tobytes())
             f.write(np.ascontiguousarray(params.biases, dtype="<f4").tobytes())
             if normalizers.mode == "per-context":
-                items = sorted(normalizers.table.items())
-                records = np.array(items, dtype=_record_dtype(params.context_size))
-                f.write(struct.pack("<I", len(items)))
+                keys, values = normalizers.touched_entries()
+                records = np.empty(len(values), dtype=_record_dtype(params.context_size))
+                if len(values):
+                    records["key"] = keys
+                    records["value"] = values
+                f.write(struct.pack("<I", len(records)))
                 f.write(records.tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -310,9 +501,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[LblParams, NormalizerStore]
         record = _record_dtype(c)
         start = take(count * record.itemsize, "normalizer records")
         records = np.frombuffer(data, dtype=record, count=count, offset=start)
-        normalizers.table = dict(zip(
-            map(tuple, records["key"].tolist()), records["value"].tolist()
-        ))
+        normalizers.set_values(records["key"], records["value"])
     if off != len(data):
         raise CheckpointFormatError("trailing bytes after checkpoint payload")
     return params, normalizers

@@ -220,9 +220,8 @@ def sgd_step(
         "biases",
     )
     update_normalizers(gradient, normalizers, learning_rate)
-    for key in gradient.normalizer_grads:
-        if not np.isfinite(normalizers.table[key]):
-            raise DivergenceError("normalizers")
+    if not np.isfinite(normalizers.values[gradient.normalizer_grads[0]]).all():
+        raise DivergenceError("normalizers")
     return params
 
 
@@ -318,6 +317,10 @@ def train(
         normalizers = initial_normalizers.copy()
     else:
         normalizers = NormalizerStore(mode=config.normalizer_mode)
+    if normalizers.mode == "per-context":
+        # Every context that can take a normalizer step is a training
+        # context, so one registration keeps the loop free of it.
+        normalizers.register(train_set.contexts)
 
     noise = _make_noise(config, train_set, vocab)
     k = config.k

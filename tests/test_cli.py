@@ -213,3 +213,37 @@ def test_vocabulary_larger_than_the_model_is_a_named_error(workdir, capsys, tmp_
         err = capsys.readouterr().err
         assert "error: word id 40 is outside the model's vocabulary of size 40" in err
         assert "Traceback" not in err
+
+
+# The report of the dict-keyed normalizer store, which the dense store
+# reproduces digit for digit, per-context normalizer coordinates included.
+GRADCHECK_SEED0_REPORT = (
+    "seed0_ml=3.390e-10\n"
+    "seed0_nce=6.174e-10\n"
+    "seed0_nce_shared=5.959e-10\n"
+    "seed0_is=4.325e-10\n"
+    "seed1_ml=3.017e-10\n"
+    "seed1_nce=5.890e-10\n"
+    "seed1_nce_shared=6.648e-10\n"
+    "seed1_is=3.725e-10\n"
+    "seed2_ml=2.783e-10\n"
+    "seed2_nce=5.699e-10\n"
+    "seed2_nce_shared=4.237e-10\n"
+    "seed2_is=3.296e-10\n"
+    "seed3_ml=3.032e-10\n"
+    "seed3_nce=3.265e-10\n"
+    "seed3_nce_shared=2.345e-10\n"
+    "seed3_is=2.392e-10\n"
+    "seed4_ml=3.702e-10\n"
+    "seed4_nce=7.855e-10\n"
+    "seed4_nce_shared=5.713e-10\n"
+    "seed4_is=4.769e-10\n"
+    "max_rel_err=7.855e-10\n"
+    "threshold=1e-05\n"
+    "status=PASS\n"
+)
+
+
+def test_diagnose_gradcheck_report_is_unchanged(capsys):
+    assert main(["diagnose", "gradcheck"]) == 0
+    assert capsys.readouterr().out == GRADCHECK_SEED0_REPORT

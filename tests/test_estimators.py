@@ -43,7 +43,7 @@ def test_ml_gradient_at_uniform_model_by_hand():
     assert np.allclose(grad.target_vector_grads, 0.0)
     assert np.allclose(grad.context_vector_grads, 0.0)
     assert np.allclose(grad.transform_grads, 0.0)
-    assert grad.normalizer_grads == {}
+    assert [a.size for a in grad.normalizer_grads] == [0, 0]
 
 
 def test_ml_objective_matches_gradient_and_objective():
@@ -167,15 +167,14 @@ def test_is_stats_are_simplex_weights():
     assert 0.0 < stats.max_weight_fraction <= 1.0
     assert 1.0 <= stats.ess <= k
     assert stats.sum_weights > 0.0
-    assert grad.normalizer_grads == {}
+    assert [a.size for a in grad.normalizer_grads] == [0, 0]
 
 
 def test_is_gradient_ignores_stored_normalizers():
     params, _, batch, noise, _ = random_instance(6)
     contexts = batch[0]
     shifted = NormalizerStore("per-context")
-    for row in contexts:
-        shifted.table[tuple(int(i) for i in row)] = 2.5
+    shifted.set_values(contexts, np.full(len(contexts), 2.5))
 
     a, _ = is_gradient(params, NormalizerStore(), batch, noise, 4, np.random.default_rng(9))
     b, _ = is_gradient(params, shifted, batch, noise, 4, np.random.default_rng(9))
@@ -192,11 +191,11 @@ def test_is_raises_when_all_weights_vanish():
 
 def test_update_normalizers_accumulates_per_context():
     no_ids = np.empty(0, dtype=np.int64)
+    store = NormalizerStore("per-context")
     grad = Gradient(
         no_ids, np.zeros((0, 2)), no_ids, np.zeros((0, 2)),
-        np.zeros((2, 2, 2)), np.zeros(0), {(1, 2): 2.0},
+        np.zeros((2, 2, 2)), np.zeros(0), (store.register([(1, 2)]), np.array([2.0])),
     )
-    store = NormalizerStore("per-context")
     update_normalizers(grad, store, 0.1)
     assert np.isclose(store.lookup([1, 2]), 0.2)
     update_normalizers(grad, store, 0.1)
@@ -213,10 +212,67 @@ def test_nce_uses_stored_normalizer_in_scores():
     params, _, batch, noise, _ = random_instance(10, normalizer_mode="fixed-one")
     contexts = batch[0]
     raised = NormalizerStore("per-context")
-    for row in contexts:
-        raised.table[tuple(int(i) for i in row)] = 3.0
+    raised.set_values(contexts, np.full(len(contexts), 3.0))
 
     flat = NormalizerStore()
     obj_flat = nce_objective(params, flat, batch, noise, 2, np.random.default_rng(1))
     obj_raised = nce_objective(params, raised, batch, noise, 2, np.random.default_rng(1))
     assert obj_flat != obj_raised
+
+
+def _dict_residuals(contexts, per_example):
+    """The per-context sums as a dict loop adds them, in batch order."""
+    sums = {}
+    for row, g in zip(contexts, per_example):
+        key = tuple(int(i) for i in row)
+        sums[key] = sums.get(key, 0.0) + float(g)
+    return sums
+
+
+def test_normalizer_gradients_and_updates_match_a_dict_bit_for_bit():
+    from ncelm.estimators import _normalizer_residuals
+
+    rng = np.random.default_rng(4)
+    # 300 rows over 12 distinct contexts, so every context repeats, with
+    # terms of mixed magnitude so the summation order shows in the bits.
+    pool = rng.integers(0, 40, size=(12, 2))
+    contexts = pool[rng.integers(0, 12, size=300)]
+    per_example = rng.standard_normal(300) * 10.0 ** rng.integers(-6, 6, size=300)
+    store = NormalizerStore("per-context")
+    start = {tuple(row): float(v) for row, v in zip(pool[:5].tolist(), rng.normal(size=5))}
+    store.set_values(list(start), list(start.values()))
+
+    grad = Gradient(
+        np.empty(0, dtype=np.int64), np.zeros((0, 2)), np.empty(0, dtype=np.int64),
+        np.zeros((0, 2)), np.zeros((2, 2, 2)), np.zeros(0),
+        _normalizer_residuals(store, contexts, per_example),
+    )
+    ids, sums = grad.normalizer_grads
+    expected = _dict_residuals(contexts, per_example)
+    assert ids.size == len(expected)
+    want = store.register(list(expected))
+    assert dict(zip(ids.tolist(), sums.tolist())) == dict(zip(want.tolist(), expected.values()))
+
+    update_normalizers(grad, store, 0.37)
+    table = dict(start)
+    for key, g in expected.items():
+        table[key] = table.get(key, 0.0) + 0.37 * g
+    assert dict(store.table) == table
+    assert len(store.table) == len(table)
+
+
+def test_nce_normalizer_gradient_has_one_entry_per_distinct_context():
+    params = init_params(6, 3, 2, seed=1, dtype=np.float64)
+    contexts = np.array([[1, 2], [0, 0], [1, 2], [3, 1], [0, 0], [1, 2]])
+    targets = np.array([1, 2, 3, 4, 5, 0])
+    for share in (False, True):
+        store = NormalizerStore("per-context")
+        grad = nce_gradient(
+            params, store, (contexts, targets), uniform(6), 3,
+            np.random.default_rng(1), share_samples=share,
+        )
+        ids, sums = grad.normalizer_grads
+        assert ids.tolist() == sorted(store.register([(0, 0), (1, 2), (3, 1)]).tolist())
+        assert np.all(np.isfinite(sums))
+        # Registered on the fly, but nothing is stored until an update.
+        assert len(store.table) == 0

@@ -412,7 +412,7 @@ def test_completion_converts_once_and_matches_per_call_scores():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(LblParams, "astype", counting_astype)
         choices, _ = completion_accuracy(params, problems, mode="uni")
-    assert conversions == [np.float64]
+    assert conversions == []
     assert choices == expected
     for p in problems:
         for c in p.candidates:

@@ -146,7 +146,7 @@ def test_normalizer_store_modes():
 
     store = NormalizerStore("per-context")
     assert store.lookup([3, 4]) == 0.0
-    store.table[(3, 4)] = -1.5
+    store.set_values([(3, 4)], [-1.5])
     assert store.lookup(np.array([3, 4])) == -1.5
     batch = store.lookup_batch(np.array([[3, 4], [4, 3]]))
     assert batch.tolist() == [-1.5, 0.0]
@@ -288,7 +288,7 @@ def test_checkpoint_truncated_at_every_offset_names_the_field(tmp_path, mode):
     p = init_params(5, 3, 2, seed=4)
     store = NormalizerStore(mode)
     if mode == "per-context":
-        store.table.update({(1, 2): -0.5, (3, 0): 0.25, (4, 4): 1.5})
+        store.set_values([(1, 2), (3, 0), (4, 4)], [-0.5, 0.25, 1.5])
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, p, store)
     data = path.read_bytes()
@@ -311,3 +311,61 @@ def test_checkpoint_truncated_at_every_offset_names_the_field(tmp_path, mode):
     if mode == "per-context":
         expected |= {"normalizer count", "normalizer records"}
     assert fields == expected
+
+
+def test_normalizer_store_unpackable_keys_order_save_and_look_up_like_tuples(tmp_path):
+    big = 2**21
+    small = [(1, 2, 3), (0, 5, 1), (3, 0, 0)]
+    large = [(big, 0, 1), (0, big + 7, 2), (big + 3, big + 3, big + 3), (1, 2, big)]
+    values = dict(zip(small + large, np.random.default_rng(6).normal(size=7).tolist()))
+    store = NormalizerStore("per-context")
+    small_ids = store.register(small)
+    assert store._codes is not None  # ids below 2**21 pack three to an int64
+    store.set_values(large + small, [values[key] for key in large + small])
+    assert store._codes is None  # (2**21 + 8) ** 3 overflows: np.unique matching
+    assert store.register(small).tolist() == small_ids.tolist()
+    assert list(store.table) == sorted(values)
+    assert dict(store.table) == values
+    queries = small + large + [(1, 2, 4), (big, big, big), (2**40, 0, 0)]
+    assert store.lookup_batch(np.array(queries)).tolist() == [
+        values.get(key, 0.0) for key in queries
+    ]
+
+    path = tmp_path / "wide.ckpt"
+    save_checkpoint(path, init_params(4, 2, 3, seed=0), store)
+    records = struct.pack("<I", len(values)) + b"".join(
+        struct.pack("<3If", *key, value) for key, value in sorted(values.items())
+    )
+    assert path.read_bytes().endswith(records)
+    params, loaded = load_checkpoint(path)
+    assert dict(loaded.table) == {k: float(np.float32(v)) for k, v in values.items()}
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, params, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_normalizer_store_table_is_a_read_only_view_of_touched_entries():
+    store = NormalizerStore("per-context", {(2, 1): 0.5})
+    store.register(np.array([[0, 3], [2, 1], [4, 4]]))
+    assert len(store.table) == 1
+    assert store.table == {(2, 1): 0.5}
+    assert store.table.get((0, 3)) is None
+    assert store.lookup([0, 3]) == 0.0
+    # Ids past the largest registered one must not alias a packed key:
+    # (1, 6) packs in radix 5 to the code of (2, 1).
+    assert store.lookup([1, 6]) == 0.0
+    assert store.table.get((1, 6)) is None
+    with pytest.raises(TypeError):
+        store.table[(0, 3)] = 1.0
+    with pytest.raises(ValueError):
+        store.values[0] = 1.0
+    with pytest.raises(ConfigError, match="3 words"):
+        store.register([(1, 2, 3)])
+    with pytest.raises(ConfigError, match="got -1"):
+        store.register([(1, -1)])
+
+    copy = store.copy()
+    copy.set_values([(0, 3)], [-2.0])
+    assert store.table == {(2, 1): 0.5}
+    assert copy.table == {(0, 3): -2.0, (2, 1): 0.5}
+    assert list(copy.table) == [(0, 3), (2, 1)]

@@ -47,7 +47,7 @@ def test_train_config_dtype_follows_precision():
     assert TrainConfig(precision=64).dtype == np.float64
 
 
-def _gradient(params, ids=(), target_grads=None, bias_grads=None, normalizer_grads=None):
+def _gradient(params, ids=(), target_grads=None, bias_grads=None):
     """A Gradient on the given target rows and their biases, with no
     context-vector rows and zero transform gradients."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -63,7 +63,6 @@ def _gradient(params, ids=(), target_grads=None, bias_grads=None, normalizer_gra
         target_vector_grads=np.asarray(target_grads, dtype=np.float64),
         transform_grads=np.zeros_like(params.context_transforms),
         bias_grads=np.asarray(bias_grads, dtype=np.float64),
-        normalizer_grads=normalizer_grads or {},
     )
 
 
@@ -105,8 +104,9 @@ def test_sgd_step_empty_gradient_is_identity():
 
 def test_sgd_step_updates_normalizer_store():
     params = init_params(3, 2, 2)
-    grad = _gradient(params, normalizer_grads={(0, 1): 4.0})
     store = NormalizerStore("per-context")
+    grad = _gradient(params)
+    grad.normalizer_grads = (store.register([(0, 1)]), np.array([4.0]))
     sgd_step(params, store, grad, 0.25)
     assert np.isclose(store.lookup([0, 1]), 1.0)
 
@@ -232,3 +232,40 @@ def test_benchmark_update_measures_without_mutating(tiny_corpus):
         benchmark_update(params, "nce", 2, batch, repetitions=5)
     with pytest.raises(ConfigError):
         benchmark_update(params, "sgd", 2, batch)
+
+
+def test_sgd_step_nonfinite_normalizer_is_a_divergence():
+    params = init_params(3, 2, 2)
+    for bad in (np.inf, np.nan):
+        store = NormalizerStore("per-context", {(0, 1): 0.5, (2, 2): -0.5})
+        grad = _gradient(params)
+        grad.normalizer_grads = (store.register([(2, 2)]), np.array([bad]))
+        with pytest.raises(DivergenceError, match="normalizers"):
+            sgd_step(params, store, grad, 0.25)
+
+
+def test_initial_normalizers_outside_training_survive_train_and_checkpoint(
+    tiny_corpus, tmp_path
+):
+    train_set, valid_set, vocab = tiny_corpus
+    seen = {tuple(row) for row in train_set.contexts.tolist()}
+    extra = [(29, 28), (28, 29)]
+    assert not seen & set(extra)
+    initial = NormalizerStore("per-context", {extra[0]: -1.25, extra[1]: 0.5})
+    path = tmp_path / "ctx.ckpt"
+    cfg = TrainConfig(estimator="nce", k=2, dim=4, minibatch_size=16,
+                      initial_lr=0.1, max_epochs=1, seed=9,
+                      normalizer_mode="per-context")
+    _, store, _ = train(cfg, train_set, valid_set, vocab,
+                        initial_normalizers=initial, checkpoint_path=path)
+    assert store.table[extra[0]] == -1.25
+    assert store.table[extra[1]] == 0.5
+    assert len(store.table) == len(seen) + 2
+    assert set(store.table) == seen | set(extra)
+    # The caller's store is copied, not trained in place.
+    assert dict(initial.table) == {extra[0]: -1.25, extra[1]: 0.5}
+
+    _, loaded = load_checkpoint(path)
+    assert dict(loaded.table) == {
+        key: float(np.float32(value)) for key, value in store.table.items()
+    }

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    BOUNDARY_MODES,
     build_vocab,
     encode,
     extract_bidirectional_pairs,
@@ -34,8 +35,8 @@ from .evaluation import (
     predicted_speedup,
     read_completion_problems,
 )
-from .model import CHECKPOINT_VERSION, load_checkpoint
-from .trainer import TrainConfig, train
+from .model import CHECKPOINT_VERSION, MATRIX_MODES, NORMALIZER_MODES, load_checkpoint
+from .trainer import ESTIMATORS, NOISE_KINDS, TrainConfig, train
 
 DIAGNOSTICS = ("gradcheck", "nce-limit", "is-stability", "speedup")
 
@@ -73,22 +74,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--history", default=None, help="default: <out>.history.csv")
     p.add_argument("--manifest", default=None, help="default: <out>.manifest")
-    p.add_argument("--estimator", choices=("ml", "nce", "is"), default="nce")
+    p.add_argument("--estimator", choices=ESTIMATORS, default="nce")
     p.add_argument("--k", type=int, default=25)
-    p.add_argument("--noise", choices=("unigram", "uniform"), default="unigram")
+    p.add_argument("--noise", choices=NOISE_KINDS, default="unigram")
     p.add_argument("--batch-size", type=int, default=1000)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--weight-penalty", type=float, default=0.0)
-    p.add_argument(
-        "--normalizer", choices=("fixed-one", "per-context"), default="fixed-one"
-    )
+    p.add_argument("--normalizer", choices=NORMALIZER_MODES, default="fixed-one")
     p.add_argument("--ess-floor", type=float, default=None)
     p.add_argument("--context-size", type=int, default=2)
     p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--matrix", choices=("full", "diagonal"), default="full")
+    p.add_argument("--matrix", choices=MATRIX_MODES, default="full")
     p.add_argument("--init-scale", type=float, default=0.1)
-    p.add_argument("--boundary", choices=("oos-padding", "stream"), default="oos-padding")
+    p.add_argument("--boundary", choices=BOUNDARY_MODES, default="oos-padding")
     p.add_argument(
         "--bidirectional",
         action="store_true",
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("corpus", nargs="+")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--boundary", choices=("oos-padding", "stream"), default="oos-padding")
+    p.add_argument("--boundary", choices=BOUNDARY_MODES, default="oos-padding")
     p.add_argument("--bidirectional", action="store_true")
     p.add_argument("--keep-case", action="store_true")
 

@@ -3,7 +3,9 @@ the large-k agreement between contrastive and ML gradients, the
 importance-sampling instability probe, and the update-cost predictions.
 
 These run at desk scale (tiny vocabularies, float64) in seconds and are
-shared by the test suite and the diagnose command.
+shared by the test suite and the diagnose command. Finite differences
+probe one float64 working copy of the parameters in place and return
+flatten_gradient's layout; gradient_check runs one table of estimators.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .estimators import (
     expected_ml_gradient,
 )
 from .model import LblParams, NormalizerStore, init_params, scores_all
-from .noise import NoiseDistribution, from_counts
+from .noise import from_counts
 from .trainer import TrainConfig, train
 from .corpus import extract_pairs
 from .synthetic import make_vocab
@@ -28,60 +30,13 @@ from .evaluation import predicted_speedup
 FD_STEP = 1e-5
 
 
-def flatten_params(
-    params: LblParams,
-    normalizers: NormalizerStore | None = None,
-    norm_ids=(),
-) -> np.ndarray:
-    """All parameters as one float64 vector, then the normalizer entries
-    with the given entry ids."""
-    parts = [
-        np.asarray(t, dtype=np.float64).ravel()
-        for t in (
-            params.context_vectors,
-            params.target_vectors,
-            params.context_transforms,
-            params.biases,
-        )
-    ]
-    if len(norm_ids):
-        parts.append(normalizers.values[norm_ids])
-    return np.concatenate(parts)
-
-
-def unflatten_params(
-    params: LblParams,
-    normalizers: NormalizerStore,
-    norm_ids,
-    vector: np.ndarray,
-) -> tuple[LblParams, NormalizerStore]:
-    """Rebuild float64 parameters and normalizers from a flat vector."""
-    new = params.astype(np.float64)
-    offset = 0
-    for tensor in (
-        new.context_vectors,
-        new.target_vectors,
-        new.context_transforms,
-        new.biases,
-    ):
-        n = tensor.size
-        tensor[...] = vector[offset : offset + n].reshape(tensor.shape)
-        offset += n
-    store = normalizers.copy()
-    if len(norm_ids):
-        store.assign(norm_ids, vector[offset : offset + len(norm_ids)])
-        offset += len(norm_ids)
-    if offset != vector.size:
-        raise ConfigError(
-            f"vector has {vector.size} entries, expected {offset}"
-        )
-    return new, store
-
-
 def flatten_gradient(
     gradient: Gradient, params: LblParams, norm_ids=()
 ) -> np.ndarray:
-    """Densify a sparse Gradient into the flatten_params layout."""
+    """Densify a sparse Gradient into one float64 vector: context vectors,
+    target vectors, transforms and biases, each raveled, then the
+    normalizer gradients of the given entry ids. finite_difference_gradient
+    returns the same layout."""
     v, d = params.vocab_size, params.dim
     ctx = np.zeros((v, d))
     ctx[gradient.context_vector_ids] = gradient.context_vector_grads
@@ -109,25 +64,37 @@ def finite_difference_gradient(
     norm_ids=(),
     step: float = FD_STEP,
 ) -> np.ndarray:
-    """Central differences of objective_fn over every parameter.
+    """Central differences of objective_fn over every parameter and the
+    normalizer entries with the given entry ids, in flatten_gradient's
+    layout.
 
     objective_fn takes (params, normalizers) and must be deterministic;
     stochastic objectives need their sample draws frozen (replay the
-    same rng seed on every call).
+    same rng seed on every call). It sees one float64 working copy of
+    params and normalizers, probed one coordinate at a time and restored
+    after each probe, so the caller's params and store are untouched.
     """
     if normalizers is None:
         normalizers = NormalizerStore(mode="fixed-one")
-    base = flatten_params(params, normalizers, norm_ids)
-    grad = np.empty_like(base)
-    probe = base.copy()
-    for i in range(base.size):
-        probe[i] = base[i] + step
-        plus = objective_fn(*unflatten_params(params, normalizers, norm_ids, probe))
-        probe[i] = base[i] - step
-        minus = objective_fn(*unflatten_params(params, normalizers, norm_ids, probe))
-        probe[i] = base[i]
-        grad[i] = (plus - minus) / (2.0 * step)
-    return grad
+    work = params.astype(np.float64)
+    store = normalizers.copy()
+
+    def central(write, base):
+        write(base + step)
+        plus = objective_fn(work, store)
+        write(base - step)
+        minus = objective_fn(work, store)
+        write(base)
+        return (plus - minus) / (2.0 * step)
+
+    grad = []
+    for tensor in work.tensors().values():
+        flat = tensor.reshape(-1)
+        for i in range(flat.size):
+            grad.append(central(lambda v: flat.__setitem__(i, v), flat[i]))
+    for entry in np.asarray(norm_ids, dtype=np.int64).reshape(-1, 1):
+        grad.append(central(lambda v: store.assign(entry, v), store.values[entry[0]]))
+    return np.array(grad, dtype=np.float64)
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -197,47 +164,33 @@ def gradient_check(
         seed, batch_size=batch_size
     )
     draw_seed = np.random.SeedSequence([seed, 77]).generate_state(1)[0]
-    errors = {}
 
-    grad = estimators.ml_gradient(params, normalizers, batch)
-    fd = finite_difference_gradient(
-        lambda p, nm: estimators.ml_objective(p, nm, batch),
-        params, normalizers, norm_ids, step,
-    )
-    errors["ml"] = max_relative_error(
-        flatten_gradient(grad, params, norm_ids), fd
-    )
+    def draws():
+        return np.random.default_rng(draw_seed)
 
-    for share in (False, True):
-        label = "nce_shared" if share else "nce"
-        grad = estimators.nce_gradient(
-            params, normalizers, batch, noise, k,
-            np.random.default_rng(draw_seed), share_samples=share,
-        )
-        fd = finite_difference_gradient(
-            lambda p, nm: estimators.nce_objective(
-                p, nm, batch, noise, k,
-                np.random.default_rng(draw_seed), share_samples=share,
-            ),
-            params, normalizers, norm_ids, step,
-        )
-        errors[label] = max_relative_error(
-            flatten_gradient(grad, params, norm_ids), fd
-        )
-
-    grad, _ = estimators.is_gradient(
-        params, normalizers, batch, noise, k, np.random.default_rng(draw_seed)
+    checks = (
+        ("ml",
+         lambda p, nm: estimators.ml_gradient(p, nm, batch),
+         lambda p, nm: estimators.ml_objective(p, nm, batch)),
+        ("nce",
+         lambda p, nm: estimators.nce_gradient(p, nm, batch, noise, k, draws()),
+         lambda p, nm: estimators.nce_objective(p, nm, batch, noise, k, draws())),
+        ("nce_shared",
+         lambda p, nm: estimators.nce_gradient(
+             p, nm, batch, noise, k, draws(), share_samples=True),
+         lambda p, nm: estimators.nce_objective(
+             p, nm, batch, noise, k, draws(), share_samples=True)),
+        ("is",
+         lambda p, nm: estimators.is_gradient(p, nm, batch, noise, k, draws())[0],
+         lambda p, nm: estimators.is_objective(p, nm, batch, noise, k, draws())),
     )
-    fd = finite_difference_gradient(
-        lambda p, nm: estimators.is_objective(
-            p, nm, batch, noise, k, np.random.default_rng(draw_seed)
-        ),
-        params, normalizers, norm_ids, step,
-    )
-    errors["is"] = max_relative_error(
-        flatten_gradient(grad, params, norm_ids), fd
-    )
-    return errors
+    return {
+        label: max_relative_error(
+            flatten_gradient(gradient_fn(params, normalizers), params, norm_ids),
+            finite_difference_gradient(objective_fn, params, normalizers, norm_ids, step),
+        )
+        for label, gradient_fn, objective_fn in checks
+    }
 
 
 def exact_oracle_check(seed: int = 0, k: int = 7, step: float = FD_STEP) -> float:

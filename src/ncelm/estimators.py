@@ -8,6 +8,11 @@ and a backward step. Its objective function runs only the forward
 helper and its gradient function runs the same helper once before the
 backward step, so replaying one rng state reproduces both.
 
+Per-example NCE and importance sampling differ only in the weight each
+scored word gets, so both run _sampled_forward (draws and scores of the
+[target, samples] word matrix) and _sampled_backward (coefficients to
+Gradient). Shared-draw NCE has its own forward and backward.
+
 Sign convention: gradients point in the ascent direction of the
 estimator's objective (log-likelihood for ML and IS, the binary
 data-vs-noise classification objective for NCE), so an SGD step adds
@@ -104,22 +109,14 @@ def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
     return contexts, targets
 
 
-def _rowsum_by_id(ids_flat: np.ndarray, vals: np.ndarray):
-    """Sum val rows that share an id; returns (sorted unique ids, sums)."""
-    uids, inv = np.unique(ids_flat, return_inverse=True)
-    w = sparse.csr_matrix(
-        (np.ones(inv.size, dtype=vals.dtype), (inv, np.arange(inv.size))),
-        shape=(uids.size, inv.size),
-    )
-    return uids, w @ vals
-
-
 def _rank1_rowsum(words: np.ndarray, coefs: np.ndarray, vecs: np.ndarray):
-    """Row sums of coef[b,n] * vecs[b] grouped by words[b,n].
+    """Row sums of coef[b,n] * vecs[b] grouped by words[b,n]; returns
+    (sorted unique words, sums).
 
     Exploits the rank-1 structure: builds a (unique-words x batch)
     sparse coefficient matrix and multiplies it by the (batch x d) vec
-    matrix, never materializing the (batch * n, d) intermediate.
+    matrix, never materializing the (batch * n, d) intermediate. With
+    n = 1 and unit coefficients it sums the rows that share an id.
     """
     b, n = words.shape
     uids, inv = np.unique(words.ravel(), return_inverse=True)
@@ -143,7 +140,9 @@ def _context_side(params, contexts, g_qhat):
     else:
         pos_grads = transforms[None, :, :] * g_qhat[:, None, :]
         t_grads = np.einsum("bi,bci->ci", g_qhat, ctx_rows)
-    ids, grads = _rowsum_by_id(contexts.ravel(), pos_grads.reshape(b * c, -1))
+    ids, grads = _rank1_rowsum(
+        contexts.reshape(-1, 1), np.ones((b * c, 1)), pos_grads.reshape(b * c, -1)
+    )
     return ids, grads, t_grads
 
 
@@ -158,6 +157,35 @@ def _gather_scores(params, qhat, words):
     s = np.matmul(tw, qhat[:, :, None])[:, :, 0].astype(np.float64)
     s += params.biases[words].astype(np.float64)
     return tw, s
+
+
+def _sampled_forward(params, batch, dist, k, rng):
+    """Per-example draws and scores shared by NCE and importance sampling.
+
+    Draws k words per example from dist and scores the (b, 1 + k) word
+    matrix [target, samples]. Returns (contexts, words, qhat, gathered
+    target rows, float64 scores).
+    """
+    contexts, targets = _batch_arrays(batch)
+    samples = noise_sample(dist, rng, size=(targets.shape[0], k))
+    words = np.concatenate([targets[:, None], samples], axis=1)
+    qhat = predicted_representation_batch(params, contexts)
+    tw, s = _gather_scores(params, qhat, words)
+    return contexts, words, qhat, tw, s
+
+
+def _sampled_backward(params, contexts, words, qhat, tw, coefs):
+    """Gradient of sum_{b,n} coefs[b,n] * score(words[b,n] | contexts[b])
+    from the state _sampled_forward returns."""
+    dtype = params.dtype
+    tids, tgrads = _rank1_rowsum(words, coefs, qhat)
+    bias_dense = np.bincount(
+        words.ravel(), weights=coefs.ravel(), minlength=params.vocab_size
+    )
+    bias_grads = bias_dense[tids].astype(dtype)
+    g_qhat = np.matmul(coefs.astype(dtype)[:, None, :], tw)[:, 0, :]
+    cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
+    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads)
 
 
 def ml_gradient(params: LblParams, normalizers: NormalizerStore, batch) -> Gradient:
@@ -266,16 +294,9 @@ def _nce_forward(params, normalizers, batch, noise, k, rng):
 
     Returns the objective and the state _nce_backward takes.
     """
-    contexts, targets = _batch_arrays(batch)
-    b = targets.shape[0]
-    samples = noise_sample(noise, rng, size=(b, k))
-    words = np.concatenate([targets[:, None], samples], axis=1)
-
+    contexts, words, qhat, tw, s = _sampled_forward(params, batch, noise, k, rng)
     log_pn = noise.log_probs[words]
-    _check_target_support(targets, log_pn[:, 0])
-
-    qhat = predicted_representation_batch(params, contexts)
-    tw, s = _gather_scores(params, qhat, words)
+    _check_target_support(words[:, 0], log_pn[:, 0])
     if normalizers.mode == "per-context":
         s += normalizers.lookup_batch(contexts)[:, None]
     # z > 0 favors the noise explanation, z < 0 the model's.
@@ -291,17 +312,9 @@ def _nce_backward(params, normalizers, contexts, words, qhat, tw, z):
     # the divergence check at update time.
     assert np.all(np.abs(coefs[np.isfinite(coefs)]) <= 1.0)
 
-    dtype = params.dtype
-    tids, tgrads = _rank1_rowsum(words, coefs, qhat)
-    bias_dense = np.bincount(
-        words.ravel(), weights=coefs.ravel(), minlength=params.vocab_size
-    )
-    bias_grads = bias_dense[tids].astype(dtype)
-    g_qhat = np.matmul(coefs.astype(dtype)[:, None, :], tw)[:, 0, :]
-    cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
-
-    norm_grads = _normalizer_residuals(normalizers, contexts, coefs.sum(axis=1))
-    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads, norm_grads)
+    grad = _sampled_backward(params, contexts, words, qhat, tw, coefs)
+    grad.normalizer_grads = _normalizer_residuals(normalizers, contexts, coefs.sum(1))
+    return grad
 
 
 def _normalizer_residuals(normalizers, contexts, per_example):
@@ -356,10 +369,10 @@ def _nce_shared_backward(
     # Noise-side gradients touch only the k sampled rows: one GEMM
     # against the batch's predicted vectors covers all of them.
     sample_mat = coef_n.T.astype(dtype) @ qhat
-    sids, sgrads = _rowsum_by_id(samples, sample_mat)
-    tids_t, tgrads_t = _rank1_rowsum(
-        targets[:, None], coef_t[:, None], qhat
+    sids, sgrads = _rank1_rowsum(
+        samples[:, None], np.ones((samples.size, 1)), sample_mat
     )
+    tids_t, tgrads_t = _rank1_rowsum(targets[:, None], coef_t[:, None], qhat)
     tids, tgrads = _merge_rows(tids_t, tgrads_t, sids, sgrads)
 
     bias_dense = np.bincount(
@@ -515,22 +528,15 @@ def is_gradient_and_objective(params, normalizers, batch, proposal, k, rng):
 def _is_forward(params, batch, proposal, k, rng):
     """Draws, scores and log-weights of self-normalized importance
     sampling. Returns the objective and the state _is_backward takes."""
-    contexts, targets = _batch_arrays(batch)
-    b = targets.shape[0]
-    samples = noise_sample(proposal, rng, size=(b, k))
-    words = np.concatenate([targets[:, None], samples], axis=1)
-
-    qhat = predicted_representation_batch(params, contexts)
-    tw, s = _gather_scores(params, qhat, words)
-
-    log_v = s[:, 1:] - proposal.log_probs[samples]
+    contexts, words, qhat, tw, s = _sampled_forward(params, batch, proposal, k, rng)
+    log_v = s[:, 1:] - proposal.log_probs[words[:, 1:]]
     log_total = logsumexp(log_v, axis=1)
     if not np.all(np.isfinite(log_total)):
         raise DegenerateWeightsError(
             "importance weights vanished or overflowed for an example"
         )
     # Self-normalized estimate of log P(w): score minus estimated log Z.
-    objective = float(s[:, 0].sum() - log_total.sum() + b * np.log(k))
+    objective = float(s[:, 0].sum() - log_total.sum() + len(words) * np.log(k))
     return objective, (contexts, words, qhat, tw, log_v, log_total)
 
 
@@ -549,15 +555,7 @@ def _is_backward(params, contexts, words, qhat, tw, log_v, log_total):
     )
 
     coefs = np.concatenate([np.ones((b, 1)), -w_norm], axis=1)
-    dtype = params.dtype
-    tids, tgrads = _rank1_rowsum(words, coefs, qhat)
-    bias_dense = np.bincount(
-        words.ravel(), weights=coefs.ravel(), minlength=params.vocab_size
-    )
-    bias_grads = bias_dense[tids].astype(dtype)
-    g_qhat = np.matmul(coefs.astype(dtype)[:, None, :], tw)[:, 0, :]
-    cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
-    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads), stats
+    return _sampled_backward(params, contexts, words, qhat, tw, coefs), stats
 
 
 def is_objective(

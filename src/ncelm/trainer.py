@@ -17,6 +17,8 @@ from .corpus import Dataset, Vocabulary, unigram_counts
 from .errors import ConfigError, DivergenceError
 from .estimators import Gradient, update_normalizers
 from .model import (
+    MATRIX_MODES,
+    NORMALIZER_MODES,
     LblParams,
     NormalizerStore,
     init_params,
@@ -82,8 +84,10 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.weight_penalty < 0:
             raise ConfigError(f"weight_penalty must be >= 0, got {self.weight_penalty}")
-        if self.normalizer_mode not in ("fixed-one", "per-context"):
+        if self.normalizer_mode not in NORMALIZER_MODES:
             raise ConfigError(f"unknown normalizer mode {self.normalizer_mode!r}")
+        if self.matrix_mode not in MATRIX_MODES:
+            raise ConfigError(f"unknown matrix_mode {self.matrix_mode!r}")
         if self.ess_floor is not None and not self.ess_floor > 0:
             raise ConfigError(f"ess_floor must be > 0, got {self.ess_floor}")
         if self.dim < 1:
@@ -184,41 +188,18 @@ def sgd_step(
     The L2 penalty touches only rows the gradient touches (plus the
     always-dense transform matrices); normalizer entries take plain
     unpenalized steps. Raises a divergence error naming the first tensor
-    that leaves the finite range.
+    that leaves the finite range; that tensor is left as it was, and the
+    ones applied before it (context, target, transform, bias order) keep
+    their step.
     """
-    _apply_rows(
-        params.context_vectors,
-        gradient.context_vector_ids,
-        gradient.context_vector_grads,
-        learning_rate,
-        weight_penalty,
-        "context_vectors",
-    )
-    _apply_rows(
-        params.target_vectors,
-        gradient.target_vector_ids,
-        gradient.target_vector_grads,
-        learning_rate,
-        weight_penalty,
-        "target_vectors",
-    )
-    transforms = params.context_transforms
-    with np.errstate(over="ignore", invalid="ignore"):
-        if weight_penalty:
-            transforms *= 1.0 - learning_rate * weight_penalty
-        transforms += (learning_rate * gradient.transform_grads).astype(
-            transforms.dtype
-        )
-    if not np.all(np.isfinite(transforms)):
-        raise DivergenceError("context_transforms")
-    _apply_rows(
-        params.biases,
-        gradient.target_vector_ids,
-        gradient.bias_grads,
-        learning_rate,
-        weight_penalty,
-        "biases",
-    )
+    target_ids = gradient.target_vector_ids
+    for name, ids, grads in (
+        ("context_vectors", gradient.context_vector_ids, gradient.context_vector_grads),
+        ("target_vectors", target_ids, gradient.target_vector_grads),
+        ("context_transforms", np.arange(params.context_size), gradient.transform_grads),
+        ("biases", target_ids, gradient.bias_grads),
+    ):
+        _apply_rows(getattr(params, name), ids, grads, learning_rate, weight_penalty, name)
     update_normalizers(gradient, normalizers, learning_rate)
     if not np.isfinite(normalizers.values[gradient.normalizer_grads[0]]).all():
         raise DivergenceError("normalizers")
@@ -424,8 +405,6 @@ def benchmark_update(
     Runs on a scratch copy of the parameters with a vanishing learning
     rate so repeated updates measure steady-state cost, not drift.
     """
-    if estimator not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {estimator!r}")
     if repetitions < 20:
         raise ConfigError("benchmark needs at least 20 repetitions")
     scratch = params.copy()

@@ -3,6 +3,7 @@ import pytest
 
 from ncelm.diagnostics import (
     exact_oracle_check,
+    finite_difference_gradient,
     flatten_gradient,
     gradient_check,
     nce_limit_gaps,
@@ -92,6 +93,34 @@ def test_finite_difference_agreement_all_estimators(seed):
 def test_enumeration_oracle_matches_finite_differences():
     assert exact_oracle_check(0) < 1e-8
     assert exact_oracle_check(1) < 1e-8
+
+
+def test_finite_differences_of_a_linear_objective_return_its_coefficients():
+    params, _, (contexts, _), _, _ = random_instance(3, normalizer_mode="fixed-one")
+    store = NormalizerStore(mode="per-context")
+    norm_ids = store.register(np.unique(contexts, axis=0))
+    store.assign(norm_ids[:1], [0.3])  # the other entries stay untouched
+    rng = np.random.default_rng(5)
+    coefs = {name: rng.normal(size=t.shape) for name, t in params.tensors().items()}
+    norm_coefs = rng.normal(size=len(norm_ids))
+
+    def objective(p, nm):
+        total = sum(float((coefs[name] * t).sum()) for name, t in p.tensors().items())
+        return total + float(norm_coefs @ nm.values[norm_ids])
+
+    expected = np.concatenate([c.ravel() for c in coefs.values()] + [norm_coefs])
+    values, entries = store.values.copy(), len(store.table)
+    for dtype in (np.float64, np.float32):
+        p = params.astype(dtype)
+        before = {name: t.copy() for name, t in p.tensors().items()}
+        fd = finite_difference_gradient(objective, p, store, norm_ids)
+        assert fd.shape == expected.shape
+        assert np.abs(fd - expected).max() < 1e-9
+        for name, t in p.tensors().items():
+            assert t.dtype == dtype
+            assert np.array_equal(t, before[name]), name
+        assert np.array_equal(store.values, values)
+        assert len(store.table) == entries
 
 
 def test_nce_monte_carlo_mean_matches_enumeration():

@@ -35,6 +35,7 @@ def test_update_learning_rate_halves_only_on_increase():
         {"ess_floor": 0.0},
         {"dim": 0},
         {"precision": 16},
+        {"matrix_mode": "banded"},
     ],
 )
 def test_train_config_rejects_bad_values(overrides):
@@ -112,10 +113,22 @@ def test_sgd_step_updates_normalizer_store():
 
 
 def test_sgd_step_raises_on_nonfinite_update():
-    params = init_params(3, 2, 1)
-    grad = _gradient(params, [0], bias_grads=[np.inf])
-    with pytest.raises(DivergenceError, match="biases"):
-        sgd_step(params, NormalizerStore(), grad, 0.1)
+    for tensor, field in (
+        ("context_vectors", "context_vector_grads"),
+        ("target_vectors", "target_vector_grads"),
+        ("context_transforms", "transform_grads"),
+        ("biases", "bias_grads"),
+    ):
+        params = init_params(3, 2, 1)
+        grad = _gradient(params, [0])
+        grad.context_vector_ids = np.array([1])
+        grad.context_vector_grads = np.zeros((1, 2))
+        getattr(grad, field)[...] = np.inf
+        before = getattr(params, tensor).copy()
+        with pytest.raises(DivergenceError, match=f"'{tensor}'") as err:
+            sgd_step(params, NormalizerStore(), grad, 0.1)
+        assert err.value.tensor == tensor
+        assert np.array_equal(getattr(params, tensor), before), tensor
 
 
 @pytest.fixture(scope="module")

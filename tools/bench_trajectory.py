@@ -11,6 +11,13 @@ the seeds, the number of runs and of failed runs, and for each
 end-to-end metric the median, first and third quartiles and unit over
 the runs that passed their checks. An entry for a revision already in
 the file is replaced; any other is appended.
+
+Entries compare only within one interleaved set: runs of the revisions
+being compared, alternated on the same host at the same time. The
+host's speed is not recorded, and on a shared host it can move a lot
+(nce-small-ctx training throughput once moved about 2.4x within an
+hour on a shared 2-CPU host), so medians of entries measured at
+different times say nothing about the revisions.
 """
 
 from __future__ import annotations

@@ -43,10 +43,10 @@ from .estimators import (
     exact_nce_gradient,
     exact_nce_objective,
     expected_ml_gradient,
-    is_gradient,
+    is_gradient_and_objective,
     is_objective,
-    ml_gradient,
-    nce_gradient,
+    ml_gradient_and_objective,
+    nce_gradient_and_objective,
     nce_objective,
     update_normalizers,
 )

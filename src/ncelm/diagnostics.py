@@ -170,18 +170,20 @@ def gradient_check(
 
     checks = (
         ("ml",
-         lambda p, nm: estimators.ml_gradient(p, nm, batch),
+         lambda p, nm: estimators.ml_gradient_and_objective(p, nm, batch)[0],
          lambda p, nm: estimators.ml_objective(p, nm, batch)),
         ("nce",
-         lambda p, nm: estimators.nce_gradient(p, nm, batch, noise, k, draws()),
+         lambda p, nm: estimators.nce_gradient_and_objective(
+             p, nm, batch, noise, k, draws())[0],
          lambda p, nm: estimators.nce_objective(p, nm, batch, noise, k, draws())),
         ("nce_shared",
-         lambda p, nm: estimators.nce_gradient(
-             p, nm, batch, noise, k, draws(), share_samples=True),
+         lambda p, nm: estimators.nce_gradient_and_objective(
+             p, nm, batch, noise, k, draws(), share_samples=True)[0],
          lambda p, nm: estimators.nce_objective(
              p, nm, batch, noise, k, draws(), share_samples=True)),
         ("is",
-         lambda p, nm: estimators.is_gradient(p, nm, batch, noise, k, draws())[0],
+         lambda p, nm: estimators.is_gradient_and_objective(
+             p, nm, batch, noise, k, draws())[0],
          lambda p, nm: estimators.is_objective(p, nm, batch, noise, k, draws())),
     )
     return {

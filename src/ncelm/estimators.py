@@ -1,12 +1,18 @@
 """Gradient estimators: exact maximum likelihood, noise-contrastive
 estimation, and self-normalized importance sampling.
 
-All three produce a sparse Gradient over the same parameter tensors and
-are pure functions of (parameter snapshot, batch, rng state). Each
-stochastic estimator is a forward helper (draws, scores, objective)
-and a backward step. Its objective function runs only the forward
-helper and its gradient function runs the same helper once before the
-backward step, so replaying one rng state reproduces both.
+Each estimator has one entry point, ml_gradient_and_objective,
+nce_gradient_and_objective or is_gradient_and_objective, which returns
+a sparse Gradient over the same parameter tensors and the batch
+objective (importance sampling adds its IsStats); ml_objective,
+nce_objective and is_objective return the objective alone. A batch is
+the (contexts, targets) pair of int64 arrays. All are pure functions of
+(parameter snapshot, batch, rng state), apart from registering unseen
+contexts in a per-context NormalizerStore. Each stochastic estimator is
+a forward helper (draws, scores, objective) and a backward step. Its
+objective function runs only the forward helper and its entry point
+runs the same helper once before the backward step, so replaying one
+rng state reproduces both.
 
 Per-example NCE and importance sampling differ only in the weight each
 scored word gets, so both run _sampled_forward (draws and scores of the
@@ -34,8 +40,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit, logsumexp
 
-from .corpus import Dataset
-from .errors import DegenerateWeightsError, SupportError
+from .errors import DegenerateWeightsError, DivergenceError, SupportError
 from .evaluation import _target_log_probs
 from .model import (
     LblParams,
@@ -99,16 +104,6 @@ def _merge_rows(ids_a, vals_a, ids_b, vals_b):
     return out_ids, out_vals
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(batch, Dataset):
-        return batch.contexts, batch.targets
-    if isinstance(batch, tuple) and len(batch) == 2 and isinstance(batch[0], np.ndarray):
-        return batch
-    contexts = np.stack([np.asarray(ex[0], dtype=np.int64) for ex in batch])
-    targets = np.asarray([int(ex[1]) for ex in batch], dtype=np.int64)
-    return contexts, targets
-
-
 def _rank1_rowsum(words: np.ndarray, coefs: np.ndarray, vecs: np.ndarray):
     """Row sums of coef[b,n] * vecs[b] grouped by words[b,n]; returns
     (sorted unique words, sums).
@@ -166,7 +161,7 @@ def _sampled_forward(params, batch, dist, k, rng):
     matrix [target, samples]. Returns (contexts, words, qhat, gathered
     target rows, float64 scores).
     """
-    contexts, targets = _batch_arrays(batch)
+    contexts, targets = batch
     samples = noise_sample(dist, rng, size=(targets.shape[0], k))
     words = np.concatenate([targets[:, None], samples], axis=1)
     qhat = predicted_representation_batch(params, contexts)
@@ -188,20 +183,17 @@ def _sampled_backward(params, contexts, words, qhat, tw, coefs):
     return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads)
 
 
-def ml_gradient(params: LblParams, normalizers: NormalizerStore, batch) -> Gradient:
-    """Exact log-likelihood gradient of one batch.
+def ml_gradient_and_objective(
+    params: LblParams, normalizers: NormalizerStore, batch
+) -> tuple[Gradient, float]:
+    """Exact log-likelihood gradient and objective of one batch.
 
     Each example contributes its observed word's score gradient minus
     the expectation of the score gradient under the model's explicitly
     normalized distribution, so the per-context normalizer gradient is
-    identically zero.
+    identically zero. The objective is the batch log-likelihood.
     """
-    grad, _ = ml_gradient_and_objective(params, normalizers, batch)
-    return grad
-
-
-def ml_gradient_and_objective(params, normalizers, batch):
-    contexts, targets = _batch_arrays(batch)
+    contexts, targets = batch
     b = targets.shape[0]
     qhat = predicted_representation_batch(params, contexts)
     qh64 = qhat.astype(np.float64)
@@ -247,11 +239,11 @@ def _check_target_support(targets, log_pn_targets):
 
 def ml_objective(params: LblParams, normalizers: NormalizerStore, batch) -> float:
     """Exact batch log-likelihood under explicit normalization."""
-    contexts, targets = _batch_arrays(batch)
+    contexts, targets = batch
     return float(_target_log_probs(params, contexts, targets).sum())
 
 
-def nce_gradient(
+def nce_gradient_and_objective(
     params: LblParams,
     normalizers: NormalizerStore,
     batch,
@@ -259,53 +251,47 @@ def nce_gradient(
     k: int,
     rng: np.random.Generator,
     share_samples: bool = False,
-) -> Gradient:
-    """Noise-contrastive gradient estimate for one batch.
+) -> tuple[Gradient, float]:
+    """Noise-contrastive gradient estimate and objective of one batch,
+    from one forward pass.
 
     For each example the observed word contributes with weight
     k*Pn/(P + k*Pn) and each sampled word with weight -P/(P + k*Pn),
     where P is the unnormalized model probability. Weights are logistic
-    transforms of log ratios, so each lies in [0, 1].
-    """
-    grad, _ = nce_gradient_and_objective(
-        params, normalizers, batch, noise, k, rng, share_samples
-    )
-    return grad
-
-
-def nce_gradient_and_objective(
-    params, normalizers, batch, noise, k, rng, share_samples=False
-):
-    """NCE gradient and objective from one forward pass.
-
-    Without sharing, draws k noise samples per example and scores the
-    observed and sampled words with the unnormalized model; column 0 of
-    the logistic log-ratio matrix z is the data term.
+    transforms of log ratios, so each lies in [0, 1]. Without sharing,
+    draws k noise samples per example; with share_samples, one set of k
+    for the whole batch. In per-context mode the store is searched once:
+    the entry ids that give the stored normalizers also group the
+    normalizer gradient.
     """
     if share_samples:
-        objective, state = _nce_shared_forward(params, normalizers, batch, noise, k, rng)
-        return _nce_shared_backward(params, normalizers, *state), objective
-    objective, state = _nce_forward(params, normalizers, batch, noise, k, rng)
-    return _nce_backward(params, normalizers, *state), objective
+        forward, backward = _nce_shared_forward, _nce_shared_backward
+    else:
+        forward, backward = _nce_forward, _nce_backward
+    objective, state = forward(params, normalizers, batch, noise, k, rng)
+    return backward(params, *state), objective
 
 
 def _nce_forward(params, normalizers, batch, noise, k, rng):
     """Draws, scores and log-ratios of per-example NCE.
 
-    Returns the objective and the state _nce_backward takes.
+    Returns the objective and the state _nce_backward takes; column 0
+    of the logistic log-ratio matrix z is the data term.
     """
     contexts, words, qhat, tw, s = _sampled_forward(params, batch, noise, k, rng)
     log_pn = noise.log_probs[words]
     _check_target_support(words[:, 0], log_pn[:, 0])
+    norm_ids = None
     if normalizers.mode == "per-context":
-        s += normalizers.lookup_batch(contexts)[:, None]
+        norm_ids = normalizers.register(contexts)
+        s += normalizers.values[norm_ids][:, None]
     # z > 0 favors the noise explanation, z < 0 the model's.
     z = (np.log(k) + log_pn) - s
     objective = float(log_expit(-z[:, 0]).sum() + log_expit(z[:, 1:]).sum())
-    return objective, (contexts, words, qhat, tw, z)
+    return objective, (contexts, words, qhat, tw, z, norm_ids)
 
 
-def _nce_backward(params, normalizers, contexts, words, qhat, tw, z):
+def _nce_backward(params, contexts, words, qhat, tw, z, norm_ids):
     coefs = expit(z)
     coefs[:, 1:] -= 1.0  # noise columns carry weight -P/(P + k*Pn)
     # Bounded whenever the scores are; non-finite scores fall through to
@@ -313,16 +299,17 @@ def _nce_backward(params, normalizers, contexts, words, qhat, tw, z):
     assert np.all(np.abs(coefs[np.isfinite(coefs)]) <= 1.0)
 
     grad = _sampled_backward(params, contexts, words, qhat, tw, coefs)
-    grad.normalizer_grads = _normalizer_residuals(normalizers, contexts, coefs.sum(1))
+    grad.normalizer_grads = _normalizer_residuals(norm_ids, coefs.sum(1))
     return grad
 
 
-def _normalizer_residuals(normalizers, contexts, per_example):
-    """Gradient.normalizer_grads of per-example terms: one sum per
-    distinct context, which np.bincount adds in batch order."""
-    if normalizers.mode != "per-context":
+def _normalizer_residuals(norm_ids, per_example):
+    """Gradient.normalizer_grads of per-example terms given each
+    example's entry id (None outside per-context mode): one sum per
+    distinct entry, which np.bincount adds in batch order."""
+    if norm_ids is None:
         return _no_normalizer_grads()
-    ids, inverse = np.unique(normalizers.register(contexts), return_inverse=True)
+    ids, inverse = np.unique(norm_ids, return_inverse=True)
     return ids, np.bincount(inverse, weights=per_example)
 
 
@@ -334,7 +321,7 @@ def _nce_shared_forward(params, normalizers, batch, noise, k, rng):
     update cost is nearly independent of k. Returns the objective and
     the state _nce_shared_backward takes.
     """
-    contexts, targets = _batch_arrays(batch)
+    contexts, targets = batch
     samples = noise_sample(noise, rng, size=k)
     log_pn_t = noise.log_probs[targets]
     _check_target_support(targets, log_pn_t)
@@ -346,18 +333,21 @@ def _nce_shared_forward(params, normalizers, batch, noise, k, rng):
     s_t += params.biases[targets].astype(np.float64)
     s_n = (qhat @ sample_vecs.T).astype(np.float64)
     s_n += params.biases[samples].astype(np.float64)
+    norm_ids = None
     if normalizers.mode == "per-context":
-        shift = normalizers.lookup_batch(contexts)
+        norm_ids = normalizers.register(contexts)
+        shift = normalizers.values[norm_ids]
         s_t += shift
         s_n += shift[:, None]
     z_t = (np.log(k) + log_pn_t) - s_t
     z_n = (np.log(k) + noise.log_probs[samples])[None, :] - s_n
     objective = float(log_expit(-z_t).sum() + log_expit(z_n).sum())
-    return objective, (contexts, targets, samples, qhat, tq, sample_vecs, z_t, z_n)
+    state = (contexts, targets, samples, qhat, tq, sample_vecs, z_t, z_n, norm_ids)
+    return objective, state
 
 
 def _nce_shared_backward(
-    params, normalizers, contexts, targets, samples, qhat, tq, sample_vecs, z_t, z_n
+    params, contexts, targets, samples, qhat, tq, sample_vecs, z_t, z_n, norm_ids
 ):
     coef_t = expit(z_t)
     coef_n = expit(z_n)
@@ -387,9 +377,7 @@ def _nce_shared_backward(
     g_qhat += coef_n.astype(dtype) @ sample_vecs
     cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
 
-    norm_grads = _normalizer_residuals(
-        normalizers, contexts, coef_t + coef_n.sum(axis=1)
-    )
+    norm_grads = _normalizer_residuals(norm_ids, coef_t + coef_n.sum(axis=1))
     return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads, norm_grads)
 
 
@@ -407,8 +395,8 @@ def nce_objective(
     Log posterior probability of labeling the observed word as data
     plus the k sampled words as noise, from the forward pass that
     nce_gradient_and_objective runs. Replaying the same rng state
-    reproduces the draws of nce_gradient, which is what the
-    finite-difference gradient checks rely on.
+    reproduces the draws of nce_gradient_and_objective, which is what
+    the finite-difference gradient checks rely on.
     """
     forward = _nce_shared_forward if share_samples else _nce_forward
     return forward(params, normalizers, batch, noise, k, rng)[0]
@@ -499,15 +487,16 @@ def exact_nce_objective(
     )
 
 
-def is_gradient(
+def is_gradient_and_objective(
     params: LblParams,
     normalizers: NormalizerStore,
     batch,
     proposal: NoiseDistribution,
     k: int,
     rng: np.random.Generator,
-) -> tuple[Gradient, IsStats]:
-    """Self-normalized importance-sampling gradient estimate.
+) -> tuple[Gradient, float, IsStats]:
+    """Self-normalized importance-sampling gradient estimate, objective
+    and weight statistics of one batch, from one forward pass.
 
     The intractable expectation of the score gradient under the model is
     replaced by a weighted average over k proposal samples with weights
@@ -515,14 +504,9 @@ def is_gradient(
     stays in log space. The stored normalizers play no role: the weight
     ratios are invariant to a per-context constant.
     """
-    grad, stats, _ = is_gradient_and_objective(params, normalizers, batch, proposal, k, rng)
-    return grad, stats
-
-
-def is_gradient_and_objective(params, normalizers, batch, proposal, k, rng):
     objective, state = _is_forward(params, batch, proposal, k, rng)
     grad, stats = _is_backward(params, *state)
-    return grad, stats, objective
+    return grad, objective, stats
 
 
 def _is_forward(params, batch, proposal, k, rng):
@@ -566,8 +550,9 @@ def is_objective(
     k: int,
     rng: np.random.Generator,
 ) -> float:
-    """Self-normalized log-likelihood estimate matching is_gradient's draws,
-    from the forward pass that is_gradient_and_objective runs."""
+    """Self-normalized log-likelihood estimate from the forward pass
+    that is_gradient_and_objective runs, so one rng state gives both the
+    same draws."""
     return _is_forward(params, batch, proposal, k, rng)[0]
 
 
@@ -579,10 +564,16 @@ def update_normalizers(
     Fixed-one stores ignore normalizer gradients entirely. The
     gradient's entry ids must come from this store (or a copy of it).
     An entry not updated before holds 0, so its first update lands at
-    learning_rate * gradient.
+    learning_rate * gradient. The new values are checked before they
+    are written: a step that leaves the finite range raises
+    DivergenceError('normalizers') and leaves the store as it was.
     """
     if normalizers.mode != "per-context":
         return normalizers
     ids, sums = gradient.normalizer_grads
-    normalizers.add(ids, learning_rate * sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = normalizers.values[ids] + learning_rate * sums
+    if not np.all(np.isfinite(values)):
+        raise DivergenceError("normalizers")
+    normalizers.assign(ids, values)
     return normalizers

@@ -257,11 +257,6 @@ class NormalizerStore:
         self._touch(ids)
         self._values[ids] = values
 
-    def add(self, ids: np.ndarray, deltas: np.ndarray) -> None:
-        """values[ids] += deltas for distinct entry ids, touching them."""
-        self._touch(ids)
-        self._values[ids] += deltas
-
     def touched_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """Context rows and values of the touched entries, in sorted
         context order."""

@@ -186,11 +186,12 @@ def sgd_step(
     """Ascend: theta += lr * (gradient - weight_penalty * theta), in place.
 
     The L2 penalty touches only rows the gradient touches (plus the
-    always-dense transform matrices); normalizer entries take plain
-    unpenalized steps. Raises a divergence error naming the first tensor
-    that leaves the finite range; that tensor is left as it was, and the
-    ones applied before it (context, target, transform, bias order) keep
-    their step.
+    always-dense transform matrices); per-context normalizer entries
+    take plain unpenalized steps through update_normalizers. Raises a
+    divergence error naming the first tensor that leaves the finite
+    range; that tensor (or the normalizer store) is left as it was, and
+    the ones applied before it (context, target, transform, bias,
+    normalizer order) keep their step.
     """
     target_ids = gradient.target_vector_ids
     for name, ids, grads in (
@@ -201,8 +202,6 @@ def sgd_step(
     ):
         _apply_rows(getattr(params, name), ids, grads, learning_rate, weight_penalty, name)
     update_normalizers(gradient, normalizers, learning_rate)
-    if not np.isfinite(normalizers.values[gradient.normalizer_grads[0]]).all():
-        raise DivergenceError("normalizers")
     return params
 
 
@@ -235,10 +234,9 @@ def _batch_gradient(config, params, normalizers, batch, noise, k, rng):
                 share_samples=config.share_noise_samples,
             )
             return grad, obj, None
-        grad, stats, obj = estimators.is_gradient_and_objective(
+        return estimators.is_gradient_and_objective(
             params, normalizers, batch, noise, k, rng
         )
-        return grad, obj, stats
 
 
 def train(

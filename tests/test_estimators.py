@@ -13,11 +13,9 @@ from ncelm.errors import DegenerateWeightsError, SupportError
 from ncelm.estimators import (
     Gradient,
     exact_nce_gradient,
-    is_gradient,
-    ml_gradient,
+    is_gradient_and_objective,
     ml_gradient_and_objective,
     ml_objective,
-    nce_gradient,
     nce_gradient_and_objective,
     nce_objective,
     update_normalizers,
@@ -60,26 +58,10 @@ def test_ml_gradient_is_additive_over_examples():
     rest = (contexts[2:], targets[2:])
 
     summed = flatten_gradient(
-        ml_gradient(params, normalizers, first), params
-    ) + flatten_gradient(ml_gradient(params, normalizers, rest), params)
-    whole = ml_gradient(params, normalizers, batch)
+        ml_gradient_and_objective(params, normalizers, first)[0], params
+    ) + flatten_gradient(ml_gradient_and_objective(params, normalizers, rest)[0], params)
+    whole = ml_gradient_and_objective(params, normalizers, batch)[0]
     assert np.allclose(summed, flatten_gradient(whole, params))
-
-
-def test_batch_adapter_accepts_dataset_tuple_and_example_list():
-    from ncelm.corpus import Dataset
-
-    params, normalizers, (contexts, targets), _, _ = random_instance(5)
-    as_tuple = ml_gradient(params, normalizers, (contexts, targets))
-    as_dataset = ml_gradient(
-        params, normalizers, Dataset(contexts, targets, contexts.shape[1], "stream")
-    )
-    as_list = ml_gradient(
-        params, normalizers, list(zip(contexts, targets))
-    )
-    flat = flatten_gradient(as_tuple, params)
-    assert np.array_equal(flat, flatten_gradient(as_dataset, params))
-    assert np.array_equal(flat, flatten_gradient(as_list, params))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -142,7 +124,7 @@ def test_nce_monte_carlo_mean_matches_enumeration():
     draws = 3000
     flats = np.empty((draws, exact.size))
     for i in range(draws):
-        grad = nce_gradient(params, normalizers, batch, noise, k, rng)
+        grad = nce_gradient_and_objective(params, normalizers, batch, noise, k, rng)[0]
         flats[i] = flatten_gradient(grad, params)
     mean = flats.mean(axis=0)
     sem = flats.std(axis=0, ddof=1) / np.sqrt(draws)
@@ -186,13 +168,17 @@ def test_nce_rejects_targets_outside_noise_support():
     noise = from_counts([5, 0, 5, 5], smoothing=0.0)
     batch = (np.array([[2]]), np.array([1]))
     with pytest.raises(SupportError, match="word 1"):
-        nce_gradient(params, NormalizerStore(), batch, noise, 2, np.random.default_rng(0))
+        nce_gradient_and_objective(
+            params, NormalizerStore(), batch, noise, 2, np.random.default_rng(0)
+        )
 
 
 def test_is_stats_are_simplex_weights():
     params, normalizers, batch, noise, _ = random_instance(2)
     k = 6
-    grad, stats = is_gradient(params, normalizers, batch, noise, k, np.random.default_rng(5))
+    grad, _, stats = is_gradient_and_objective(
+        params, normalizers, batch, noise, k, np.random.default_rng(5)
+    )
     assert 0.0 < stats.max_weight_fraction <= 1.0
     assert 1.0 <= stats.ess <= k
     assert stats.sum_weights > 0.0
@@ -205,8 +191,12 @@ def test_is_gradient_ignores_stored_normalizers():
     shifted = NormalizerStore("per-context")
     shifted.set_values(contexts, np.full(len(contexts), 2.5))
 
-    a, _ = is_gradient(params, NormalizerStore(), batch, noise, 4, np.random.default_rng(9))
-    b, _ = is_gradient(params, shifted, batch, noise, 4, np.random.default_rng(9))
+    a = is_gradient_and_objective(
+        params, NormalizerStore(), batch, noise, 4, np.random.default_rng(9)
+    )[0]
+    b = is_gradient_and_objective(
+        params, shifted, batch, noise, 4, np.random.default_rng(9)
+    )[0]
     assert np.array_equal(flatten_gradient(a, params), flatten_gradient(b, params))
 
 
@@ -215,7 +205,9 @@ def test_is_raises_when_all_weights_vanish():
     params.biases -= np.inf
     batch = (np.array([[0]]), np.array([2]))
     with pytest.raises(DegenerateWeightsError):
-        is_gradient(params, NormalizerStore(), batch, uniform(4), 3, np.random.default_rng(0))
+        is_gradient_and_objective(
+            params, NormalizerStore(), batch, uniform(4), 3, np.random.default_rng(0)
+        )
 
 
 def test_update_normalizers_accumulates_per_context():
@@ -274,7 +266,7 @@ def test_normalizer_gradients_and_updates_match_a_dict_bit_for_bit():
     grad = Gradient(
         np.empty(0, dtype=np.int64), np.zeros((0, 2)), np.empty(0, dtype=np.int64),
         np.zeros((0, 2)), np.zeros((2, 2, 2)), np.zeros(0),
-        _normalizer_residuals(store, contexts, per_example),
+        _normalizer_residuals(store.register(contexts), per_example),
     )
     ids, sums = grad.normalizer_grads
     expected = _dict_residuals(contexts, per_example)
@@ -296,7 +288,7 @@ def test_nce_normalizer_gradient_has_one_entry_per_distinct_context():
     targets = np.array([1, 2, 3, 4, 5, 0])
     for share in (False, True):
         store = NormalizerStore("per-context")
-        grad = nce_gradient(
+        grad, _ = nce_gradient_and_objective(
             params, store, (contexts, targets), uniform(6), 3,
             np.random.default_rng(1), share_samples=share,
         )
@@ -305,3 +297,23 @@ def test_nce_normalizer_gradient_has_one_entry_per_distinct_context():
         assert np.all(np.isfinite(sums))
         # Registered on the fly, but nothing is stored until an update.
         assert len(store.table) == 0
+
+
+def test_per_context_nce_gradient_searches_the_store_once(monkeypatch):
+    params, normalizers, batch, noise, _ = random_instance(8)
+    assert len(normalizers.table) > 0  # every context registered and touched
+    find = NormalizerStore._find
+    calls = []
+
+    def counting_find(store, rows):
+        calls.append(len(rows))
+        return find(store, rows)
+
+    monkeypatch.setattr(NormalizerStore, "_find", counting_find)
+    for share in (False, True):
+        calls.clear()
+        nce_gradient_and_objective(
+            params, normalizers, batch, noise, 3,
+            np.random.default_rng(0), share_samples=share,
+        )
+        assert calls == [len(batch[1])], share

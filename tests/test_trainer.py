@@ -113,22 +113,34 @@ def test_sgd_step_updates_normalizer_store():
 
 
 def test_sgd_step_raises_on_nonfinite_update():
-    for tensor, field in (
-        ("context_vectors", "context_vector_grads"),
-        ("target_vectors", "target_vector_grads"),
-        ("context_transforms", "transform_grads"),
-        ("biases", "bias_grads"),
+    for tensor in (
+        "context_vectors", "target_vectors", "context_transforms", "biases", "normalizers"
     ):
         params = init_params(3, 2, 1)
+        store = NormalizerStore("per-context", {(0,): 0.5, (2,): -0.5})
         grad = _gradient(params, [0])
         grad.context_vector_ids = np.array([1])
         grad.context_vector_grads = np.zeros((1, 2))
-        getattr(grad, field)[...] = np.inf
-        before = getattr(params, tensor).copy()
+        # (2,) has an entry; (1,) is registered but untouched.
+        grad.normalizer_grads = (store.register([(2,), (1,)]), np.zeros(2))
+        bad = {
+            "context_vectors": grad.context_vector_grads,
+            "target_vectors": grad.target_vector_grads,
+            "context_transforms": grad.transform_grads,
+            "biases": grad.bias_grads,
+            "normalizers": grad.normalizer_grads[1],
+        }[tensor]
+        bad[...] = np.inf
+        before = {name: t.copy() for name, t in params.tensors().items()}
+        values, table = store.values.copy(), dict(store.table)
         with pytest.raises(DivergenceError, match=f"'{tensor}'") as err:
-            sgd_step(params, NormalizerStore(), grad, 0.1)
+            sgd_step(params, store, grad, 0.1)
         assert err.value.tensor == tensor
-        assert np.array_equal(getattr(params, tensor), before), tensor
+        # Every other gradient is zero, so nothing may change anywhere.
+        for name, t in params.tensors().items():
+            assert np.array_equal(t, before[name]), (tensor, name)
+        assert np.array_equal(store.values, values), tensor
+        assert dict(store.table) == table, tensor
 
 
 @pytest.fixture(scope="module")

@@ -52,13 +52,10 @@ from .estimators import (
 )
 from .evaluation import (
     CompletionProblem,
-    answer_completion,
     completion_accuracy,
     perplexity,
     predicted_speedup,
     read_completion_problems,
-    score_sentence_bidirectional,
-    score_sentence_unidirectional,
     write_completion_problems,
 )
 from .model import (

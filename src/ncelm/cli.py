@@ -25,9 +25,10 @@ from .corpus import (
     load_vocab,
     read_sentences,
     save_vocab,
+    two_sided_half,
 )
 from .diagnostics import run_diagnostic
-from .errors import ConfigError, NcelmError
+from .errors import NcelmError
 from .evaluation import (
     completion_accuracy,
     format_report,
@@ -140,13 +141,8 @@ def _read_corpus(paths, lowercase: bool):
 def _load_dataset(paths, vocab, context_size, boundary, bidirectional, lowercase):
     sentences = [encode(vocab, s) for s in _read_corpus(paths, lowercase)]
     if bidirectional:
-        if context_size % 2 != 0:
-            raise ConfigError(
-                "bidirectional layout needs an even context size, got "
-                f"{context_size}"
-            )
         return extract_bidirectional_pairs(
-            sentences, context_size // 2, vocab.oos_id
+            sentences, two_sided_half(context_size), vocab.oos_id
         )
     return extract_pairs(sentences, context_size, boundary, vocab.oos_id)
 

@@ -4,13 +4,22 @@ Text is whitespace-tokenized. Vocabularies reserve two surface strings,
 "<unk>" for unknown words (id 0) and "<s/>" for out-of-sentence context
 positions (id 1). Training examples pair a fixed-length context of word
 ids with a target word id.
+
+One gather, context_windows, cuts every window of ids out of the
+sentences laid end to end, padding with the out-of-sentence id past a
+sentence edge: the preceding-word contexts of extract_pairs (stream
+mode treats the corpus as one sentence), the two-sided [h before,
+h after] contexts of extract_bidirectional_pairs, and the blank's
+window in sentence completion. two_sided_half holds the rule that the
+two-sided layout needs an even context size.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,11 +68,6 @@ class Vocabulary:
         return self._index.get(token, self.unk_id)
 
 
-class TrainingExample(NamedTuple):
-    context: np.ndarray
-    target: int
-
-
 @dataclass
 class Dataset:
     """Fixed-context training examples stored as parallel id arrays."""
@@ -83,9 +87,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.targets.shape[0]
-
-    def __getitem__(self, i: int) -> TrainingExample:
-        return TrainingExample(self.contexts[i], int(self.targets[i]))
 
 
 def tokenize_line(text: str, lowercase: bool = True) -> list[str]:
@@ -176,8 +177,45 @@ def encode(vocab: Vocabulary, tokens: Iterable[str]) -> list[int]:
     return [get(t, unk) for t in tokens]
 
 
-def _windows(ids: np.ndarray, width: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(ids, width)
+def context_windows(words, lengths, sentence_of, centers, offsets, oos_id=OOS_ID):
+    """Ids at centers + offsets within each row's sentence, oos_id past
+    either edge of it.
+
+    words holds the sentences end to end and lengths their sizes; row r
+    reads sentence sentence_of[r] around its position centers[r]. Returns
+    a C-contiguous int64 array of shape (rows, len(offsets)).
+    """
+    positions = centers[:, None] + offsets
+    inside = (positions >= 0) & (positions < lengths[sentence_of][:, None])
+    positions += (np.cumsum(lengths) - lengths)[sentence_of][:, None]
+    window = words.take(positions, mode="clip")
+    window[~inside] = oos_id
+    return window
+
+
+def two_sided_half(context_size: int) -> int:
+    """h of the two-sided context layout [h before, h after], whose size
+    is 2h; raises ConfigError for an odd context_size."""
+    if context_size % 2 != 0:
+        raise ConfigError(
+            f"the two-sided context layout needs an even context size, got {context_size}"
+        )
+    return context_size // 2
+
+
+def two_sided_offsets(half: int) -> np.ndarray:
+    """Offsets from the target of the layout [h before, h after]."""
+    return np.r_[-half:0, 1 : half + 1]
+
+
+def _every_token(sentences, offsets, oos_id) -> tuple[np.ndarray, np.ndarray]:
+    """The window at offsets around every token of every sentence, and
+    the tokens themselves."""
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    words = np.fromiter(chain.from_iterable(sentences), np.int64, lengths.sum())
+    sentence_of = np.repeat(np.arange(lengths.size), lengths)
+    centers = np.arange(words.size) - (np.cumsum(lengths) - lengths)[sentence_of]
+    return context_windows(words, lengths, sentence_of, centers, offsets, oos_id), words
 
 
 def extract_pairs(
@@ -197,32 +235,15 @@ def extract_pairs(
         raise ConfigError(f"context_size must be >= 1, got {context_size}")
     if boundary_mode not in BOUNDARY_MODES:
         raise ConfigError(f"unknown boundary_mode {boundary_mode!r}")
-
-    ctx_blocks = []
-    tgt_blocks = []
+    offsets = np.arange(-context_size, 0)
     if boundary_mode == "oos-padding":
-        pad = np.full(context_size, oos_id, dtype=np.int64)
-        for sent in sentences:
-            s = np.asarray(sent, dtype=np.int64)
-            if s.size == 0:
-                continue
-            ext = np.concatenate([pad, s])
-            ctx_blocks.append(_windows(ext, context_size)[: s.size])
-            tgt_blocks.append(s)
+        contexts, targets = _every_token(sentences, offsets, oos_id)
     else:
-        stream = np.concatenate(
-            [np.asarray(s, dtype=np.int64) for s in sentences]
-        ) if sentences else np.empty(0, dtype=np.int64)
-        if stream.size > context_size:
-            ctx_blocks.append(_windows(stream, context_size)[:-1])
-            tgt_blocks.append(stream[context_size:])
-
-    if ctx_blocks:
-        contexts = np.concatenate(ctx_blocks)
-        targets = np.concatenate(tgt_blocks)
-    else:
-        contexts = np.empty((0, context_size), dtype=np.int64)
-        targets = np.empty(0, dtype=np.int64)
+        # One sentence spanning the corpus, less the first context_size
+        # tokens, whose contexts would reach past its start.
+        stream = [np.fromiter(chain.from_iterable(sentences), np.int64)]
+        contexts, targets = _every_token(stream, offsets, oos_id)
+        contexts, targets = contexts[context_size:], targets[context_size:]
     return Dataset(contexts, targets, context_size, boundary_mode)
 
 
@@ -239,27 +260,8 @@ def extract_bidirectional_pairs(
     """
     if half_context < 1:
         raise ConfigError(f"half_context must be >= 1, got {half_context}")
-    h = half_context
-    ctx_blocks = []
-    tgt_blocks = []
-    pad = np.full(h, oos_id, dtype=np.int64)
-    for sent in sentences:
-        s = np.asarray(sent, dtype=np.int64)
-        if s.size == 0:
-            continue
-        ext = np.concatenate([pad, s, pad])
-        sw = _windows(ext, h)
-        before = sw[: s.size]
-        after = sw[h + 1 : h + 1 + s.size]
-        ctx_blocks.append(np.concatenate([before, after], axis=1))
-        tgt_blocks.append(s)
-    if ctx_blocks:
-        contexts = np.concatenate(ctx_blocks)
-        targets = np.concatenate(tgt_blocks)
-    else:
-        contexts = np.empty((0, 2 * h), dtype=np.int64)
-        targets = np.empty(0, dtype=np.int64)
-    return Dataset(contexts, targets, 2 * h, "oos-padding")
+    contexts, targets = _every_token(sentences, two_sided_offsets(half_context), oos_id)
+    return Dataset(contexts, targets, 2 * half_context, "oos-padding")
 
 
 def unigram_counts(source, vocab: Vocabulary) -> np.ndarray:

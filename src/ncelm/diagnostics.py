@@ -195,23 +195,6 @@ def gradient_check(
     }
 
 
-def exact_oracle_check(seed: int = 0, k: int = 7, step: float = FD_STEP) -> float:
-    """Finite-difference check of the enumeration oracle itself."""
-    params, normalizers, batch, noise, norm_ids = random_instance(seed)
-    rng = np.random.default_rng(seed + 1)
-    data_dist = rng.dirichlet(np.ones(params.vocab_size))
-    context = batch[0][0]
-    ids = normalizers.register(context[None, :])
-    grad = exact_nce_gradient(params, normalizers, data_dist, context, noise, k)
-    fd = finite_difference_gradient(
-        lambda p, nm: estimators.exact_nce_objective(
-            p, nm, data_dist, context, noise, k
-        ),
-        params, normalizers, ids, step,
-    )
-    return max_relative_error(flatten_gradient(grad, params, ids), fd)
-
-
 def nce_limit_gaps(seed: int = 0, k_grid=(1, 10, 100, 1000, 10_000)):
     """Relative gap between the contrastive expected gradient and the ML
     expected gradient as the noise multiple k grows.

@@ -15,7 +15,9 @@ already are float64. It scores the rows a chunk at a time into one
 reused buffer of at most _SCORE_BUFFER_ELEMS float64 values, and does
 the max shift, exp, sum and log in place. Completion ranks every
 problem of a call with one kernel call over only the rows whose
-log-probability differs between candidates.
+log-probability differs between candidates; corpus.context_windows
+cuts the blank's window out of the problems' sentences, in the same
+layout as the training pairs.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from .corpus import (
     OOS_ID,
     Dataset,
     Vocabulary,
+    context_windows,
     encode,
-    extract_pairs,
     tokenize_line,
+    two_sided_half,
+    two_sided_offsets,
 )
 from .errors import ConfigError, IngestionError
 from .model import LblParams, scores_all
@@ -42,14 +46,6 @@ BLANK_MARKER = "___"
 # V=7,870, d=100, buffers of 8 to 16 MB scored fastest, 32 MB took 14%
 # longer and 2 MB 15% longer; at V=2,000, 0.5 to 16 MB timed the same.
 _SCORE_BUFFER_ELEMS = 1 << 20
-
-
-def _float64_params(params: LblParams) -> LblParams:
-    """The parameters themselves when every table is float64, else a
-    float64 copy."""
-    if all(t.dtype == np.float64 for t in params.tensors().values()):
-        return params
-    return params.astype(np.float64)
 
 
 def _target_log_probs(
@@ -117,79 +113,13 @@ def perplexity(params: LblParams, dataset: Dataset, chunk_rows: int | None = Non
 
 
 def context_log_prob(params: LblParams, context, word: int) -> float:
-    """ln P(word | context) under explicit normalization.
+    """ln P(word | context) under explicit normalization, for one context.
 
-    Single chokepoint for the sentence scorers; each scorer call that
-    needs one more conditional distribution goes through here exactly
-    once. Float64 parameters are used as they are, without a copy.
+    Float64 parameters are used as they are, without a copy.
     """
     ctx = np.asarray(context, dtype=np.int64)[None, :]
     tgt = np.asarray([word], dtype=np.int64)
     return float(_target_log_probs(params, ctx, tgt)[0])
-
-
-def score_sentence_unidirectional(
-    params: LblParams,
-    sentence,
-    blank_position: int,
-    candidate: int,
-    oos_id: int = OOS_ID,
-) -> float:
-    """Log probability of the whole sentence with the candidate filled in.
-
-    Sums ln P(w_t | preceding context) over every position of the
-    completed sentence, with contexts padded past the sentence start, so
-    words on both sides of the blank influence the score.
-    """
-    params = _float64_params(params)
-    sent = [int(w) for w in sentence]
-    if not 0 <= blank_position < len(sent):
-        raise ConfigError(
-            f"blank position {blank_position} outside sentence of length {len(sent)}"
-        )
-    sent[blank_position] = int(candidate)
-    pairs = extract_pairs([sent], params.context_size, "oos-padding", oos_id)
-    return sum(
-        context_log_prob(params, ctx, int(tgt))
-        for ctx, tgt in zip(pairs.contexts, pairs.targets)
-    )
-
-
-def _half_context(params: LblParams) -> int:
-    """h of a bidirectional model's [h before, h after] context layout."""
-    if params.context_size % 2 != 0:
-        raise ConfigError(
-            "bidirectional scoring needs an even context size, got "
-            f"{params.context_size}"
-        )
-    return params.context_size // 2
-
-
-def score_sentence_bidirectional(
-    params: LblParams,
-    sentence,
-    blank_position: int,
-    candidate: int,
-    oos_id: int = OOS_ID,
-) -> float:
-    """Log probability of the candidate given the words around the blank.
-
-    The model's context layout must be [h preceding ids, h following
-    ids] with context_size = 2h; both sides pad with oos_id past the
-    sentence edge. One conditional distribution per candidate.
-    """
-    half = _half_context(params)
-    params = _float64_params(params)
-    sent = [int(w) for w in sentence]
-    if not 0 <= blank_position < len(sent):
-        raise ConfigError(
-            f"blank position {blank_position} outside sentence of length {len(sent)}"
-        )
-    before = sent[max(0, blank_position - half) : blank_position]
-    before = [oos_id] * (half - len(before)) + before
-    after = sent[blank_position + 1 : blank_position + 1 + half]
-    after = after + [oos_id] * (half - len(after))
-    return context_log_prob(params, np.asarray(before + after), int(candidate))
 
 
 @dataclass
@@ -227,9 +157,9 @@ def _candidate_totals(
     blank + c (clipped at the sentence end): the candidate is the target
     of the first and in the context of the rest. Every other position of
     the sentence adds the same term to all candidates, so its row is left
-    out. bi: one row per candidate, the [h before, h after] context of
-    score_sentence_bidirectional with the candidate as target. width is
-    c for uni and h for bi.
+    out. bi: one row per candidate, the [h before, h after] context
+    around the blank with the candidate as target. width is c for uni and
+    h for bi.
     """
     lengths = np.array([len(p.sentence) for p in problems], dtype=np.int64)
     blanks = np.array([p.blank_position for p in problems], dtype=np.int64)
@@ -238,15 +168,12 @@ def _candidate_totals(
     words = np.fromiter(
         chain.from_iterable(p.sentence for p in problems), np.int64, lengths.sum()
     )
-    # Sentence positions blank - width .. blank + width, OOS_ID outside.
-    positions = blanks[:, None] + np.arange(-width, width + 1)
-    inside = (positions >= 0) & (positions < lengths[:, None])
-    starts = np.cumsum(lengths) - lengths
-    window = np.where(
-        inside, words[starts[:, None] + np.where(inside, positions, 0)], OOS_ID
+    offsets = two_sided_offsets(width) if mode == "bi" else np.arange(-width, width + 1)
+    window = context_windows(
+        words, lengths, np.arange(n_problems), blanks, offsets, OOS_ID
     )
     if mode == "bi":
-        contexts = np.repeat(np.delete(window, width, axis=1), n_candidates, axis=0)
+        contexts = np.repeat(window, n_candidates, axis=0)
         targets = candidates.ravel()
         groups = np.arange(targets.size)
     else:
@@ -267,13 +194,6 @@ def _candidate_totals(
     return totals.reshape(n_problems, n_candidates)
 
 
-def answer_completion(
-    params: LblParams, problem: CompletionProblem, mode: str = "uni"
-) -> int:
-    """Index of the highest-scoring candidate; ties go to the lowest index."""
-    return completion_accuracy(params, [problem], mode)[0][0]
-
-
 def completion_accuracy(
     params: LblParams, problems, mode: str = "uni"
 ) -> tuple[list[int], float | None]:
@@ -285,7 +205,7 @@ def completion_accuracy(
     if mode == "uni":
         width = params.context_size
     elif mode == "bi":
-        width = _half_context(params)
+        width = two_sided_half(params.context_size)
     else:
         raise ConfigError(f"unknown completion mode {mode!r}")
     if not problems:

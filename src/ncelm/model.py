@@ -111,7 +111,7 @@ class NormalizerStore:
     constructed per-context store behaves exactly like fixed-one.
     """
 
-    def __init__(self, mode: str = "fixed-one", table=None):
+    def __init__(self, mode: str = "fixed-one"):
         if mode not in NORMALIZER_MODES:
             raise ConfigError(f"unknown normalizer mode {mode!r}")
         self.mode = mode
@@ -126,8 +126,6 @@ class NormalizerStore:
         self._codes: np.ndarray | None = np.empty(0, dtype=np.int64)
         self._radix = 1
         self._weights = np.empty(0, dtype=np.int64)  # radix ** (c - 1 - i)
-        if table:
-            self.set_values(list(table), list(table.values()))
 
     @property
     def table(self) -> "Mapping[tuple[int, ...], float]":

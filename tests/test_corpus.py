@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncelm.corpus import (
     OOS_ID,
@@ -9,6 +11,7 @@ from ncelm.corpus import (
     Dataset,
     Vocabulary,
     build_vocab,
+    context_windows,
     encode,
     extract_bidirectional_pairs,
     extract_pairs,
@@ -16,6 +19,7 @@ from ncelm.corpus import (
     read_sentences,
     save_vocab,
     tokenize_line,
+    two_sided_half,
     unigram_counts,
 )
 from ncelm.errors import ConfigError, IngestionError
@@ -82,8 +86,7 @@ def test_extract_pairs_oos_padding_by_hand():
     assert ds.contexts.tolist() == [[OOS_ID, OOS_ID], [OOS_ID, 5], [5, 6]]
     assert ds.targets.tolist() == [5, 6, 7]
     assert len(ds) == 3
-    ctx, tgt = ds[1]
-    assert ctx.tolist() == [OOS_ID, 5] and tgt == 6
+    assert ds.contexts[1].tolist() == [OOS_ID, 5] and ds.targets[1] == 6
 
 
 def test_extract_pairs_stream_mode_concatenates_sentences():
@@ -107,6 +110,119 @@ def test_extract_bidirectional_pairs_by_hand():
     assert ds.context_size == 2
     assert ds.contexts.tolist() == [[OOS_ID, 6], [5, 7], [6, OOS_ID]]
     assert ds.targets.tolist() == [5, 6, 7]
+
+
+def test_context_windows_pad_past_each_sentence_edge():
+    words = np.array([5, 6, 7, 8, 9])
+    window = context_windows(
+        words, np.array([2, 3]), np.array([0, 1, 1]), np.array([1, 0, 2]),
+        np.array([-2, -1, 0, 1]), OOS_ID,
+    )
+    assert window.tolist() == [
+        [OOS_ID, 5, 6, OOS_ID],
+        [OOS_ID, OOS_ID, 7, 8],
+        [7, 8, 9, OOS_ID],
+    ]
+
+
+def test_two_sided_layout_needs_an_even_context_size():
+    assert two_sided_half(4) == 2
+    with pytest.raises(ConfigError, match="even"):
+        two_sided_half(3)
+
+
+def _windows(ids, width):
+    return np.lib.stride_tricks.sliding_window_view(ids, width)
+
+
+def _reference_pairs(sentences, context_size, boundary_mode="oos-padding", oos_id=OOS_ID):
+    """extract_pairs as a per-sentence loop of sliding windows."""
+    ctx_blocks = []
+    tgt_blocks = []
+    if boundary_mode == "oos-padding":
+        pad = np.full(context_size, oos_id, dtype=np.int64)
+        for sent in sentences:
+            s = np.asarray(sent, dtype=np.int64)
+            if s.size == 0:
+                continue
+            ext = np.concatenate([pad, s])
+            ctx_blocks.append(_windows(ext, context_size)[: s.size])
+            tgt_blocks.append(s)
+    else:
+        stream = np.concatenate(
+            [np.asarray(s, dtype=np.int64) for s in sentences]
+        ) if sentences else np.empty(0, dtype=np.int64)
+        if stream.size > context_size:
+            ctx_blocks.append(_windows(stream, context_size)[:-1])
+            tgt_blocks.append(stream[context_size:])
+    if ctx_blocks:
+        return np.concatenate(ctx_blocks), np.concatenate(tgt_blocks)
+    return np.empty((0, context_size), dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
+def _reference_bidirectional_pairs(sentences, h, oos_id=OOS_ID):
+    """extract_bidirectional_pairs as a per-sentence loop of sliding windows."""
+    ctx_blocks = []
+    tgt_blocks = []
+    pad = np.full(h, oos_id, dtype=np.int64)
+    for sent in sentences:
+        s = np.asarray(sent, dtype=np.int64)
+        if s.size == 0:
+            continue
+        ext = np.concatenate([pad, s, pad])
+        sw = _windows(ext, h)
+        before = sw[: s.size]
+        after = sw[h + 1 : h + 1 + s.size]
+        ctx_blocks.append(np.concatenate([before, after], axis=1))
+        tgt_blocks.append(s)
+    if ctx_blocks:
+        return np.concatenate(ctx_blocks), np.concatenate(tgt_blocks)
+    return np.empty((0, 2 * h), dtype=np.int64), np.empty(0, dtype=np.int64)
+
+
+# Empty sentences, sentences shorter than the context, and empty corpora
+# all come up; each sentence is a list or an int64 array.
+_sentences = st.lists(
+    st.lists(st.integers(0, 40), max_size=9), max_size=8
+).flatmap(
+    lambda sents: st.lists(st.booleans(), min_size=len(sents), max_size=len(sents)).map(
+        lambda as_array: [
+            np.array(s, dtype=np.int64) if a else s for s, a in zip(sents, as_array)
+        ]
+    )
+)
+
+
+def _assert_dataset_equals(ds, contexts, targets):
+    for got, want in ((ds.contexts, contexts), (ds.targets, targets)):
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@settings(deadline=None)
+@given(
+    sentences=_sentences,
+    context_size=st.integers(1, 5),
+    boundary_mode=st.sampled_from(["oos-padding", "stream"]),
+    oos_id=st.sampled_from([OOS_ID, 7]),
+)
+def test_extract_pairs_matches_a_per_sentence_loop(
+    sentences, context_size, boundary_mode, oos_id
+):
+    ds = extract_pairs(sentences, context_size, boundary_mode, oos_id)
+    assert (ds.context_size, ds.boundary_mode) == (context_size, boundary_mode)
+    _assert_dataset_equals(
+        ds, *_reference_pairs(sentences, context_size, boundary_mode, oos_id)
+    )
+
+
+@settings(deadline=None)
+@given(sentences=_sentences, half=st.integers(1, 3), oos_id=st.sampled_from([OOS_ID, 7]))
+def test_extract_bidirectional_pairs_matches_a_per_sentence_loop(sentences, half, oos_id):
+    ds = extract_bidirectional_pairs(sentences, half, oos_id)
+    assert (ds.context_size, ds.boundary_mode) == (2 * half, "oos-padding")
+    _assert_dataset_equals(ds, *_reference_bidirectional_pairs(sentences, half, oos_id))
 
 
 def test_unigram_counts_from_dataset_and_stream():

@@ -9,15 +9,12 @@ from ncelm.corpus import OOS_ID, Vocabulary, extract_pairs
 from ncelm.errors import ConfigError, IngestionError
 from ncelm.evaluation import (
     CompletionProblem,
-    answer_completion,
     completion_accuracy,
     context_log_prob,
     format_report,
     perplexity,
     predicted_speedup,
     read_completion_problems,
-    score_sentence_bidirectional,
-    score_sentence_unidirectional,
     write_completion_problems,
 )
 from ncelm.model import LblParams, full_distribution, init_params
@@ -36,6 +33,57 @@ def _bias_only_params(log_weights, context_size=2):
     params = init_params(v, 2, context_size, init_scale=0.0, dtype=np.float64)
     params.biases[:] = log_weights
     return params
+
+
+def _float64_params(params):
+    """The parameters themselves when every table is float64, else a
+    float64 copy."""
+    if all(t.dtype == np.float64 for t in params.tensors().values()):
+        return params
+    return params.astype(np.float64)
+
+
+def _preceding_contexts(sentence, context_size, oos_id):
+    """The oos-padded preceding context of every position, built by hand."""
+    padded = [oos_id] * context_size + sentence
+    return [padded[i : i + context_size] for i in range(len(sentence))]
+
+
+def score_sentence_unidirectional(params, sentence, blank_position, candidate,
+                                  oos_id=OOS_ID):
+    """Log probability of the whole sentence with the candidate filled in:
+    one context_log_prob call per position. The reference for the
+    batched ranker's uni mode."""
+    params = _float64_params(params)
+    sent = [int(w) for w in sentence]
+    if not 0 <= blank_position < len(sent):
+        raise ConfigError(
+            f"blank position {blank_position} outside sentence of length {len(sent)}"
+        )
+    sent[blank_position] = int(candidate)
+    return sum(
+        evaluation.context_log_prob(params, ctx, tgt)
+        for ctx, tgt in zip(_preceding_contexts(sent, params.context_size, oos_id), sent)
+    )
+
+
+def score_sentence_bidirectional(params, sentence, blank_position, candidate,
+                                 oos_id=OOS_ID):
+    """Log probability of the candidate given the [h before, h after]
+    words around the blank: one context_log_prob call. The reference for
+    the batched ranker's bi mode."""
+    half = params.context_size // 2
+    params = _float64_params(params)
+    sent = [int(w) for w in sentence]
+    if not 0 <= blank_position < len(sent):
+        raise ConfigError(
+            f"blank position {blank_position} outside sentence of length {len(sent)}"
+        )
+    before = sent[max(0, blank_position - half) : blank_position]
+    before = [oos_id] * (half - len(before)) + before
+    after = sent[blank_position + 1 : blank_position + 1 + half]
+    after = after + [oos_id] * (half - len(after))
+    return evaluation.context_log_prob(params, np.asarray(before + after), int(candidate))
 
 
 def test_uniform_model_perplexity_equals_vocab_size():
@@ -96,11 +144,11 @@ def test_unidirectional_scorer_calls_once_per_position(monkeypatch):
 
     monkeypatch.setattr(evaluation, "context_log_prob", counting)
     sentence = [3, 4, 5, 6]
-    evaluation.score_sentence_unidirectional(params, sentence, 1, 7)
+    score_sentence_unidirectional(params, sentence, 1, 7)
     assert len(calls) == len(sentence)
 
     calls.clear()
-    evaluation.score_sentence_bidirectional(params, sentence, 1, 7)
+    score_sentence_bidirectional(params, sentence, 1, 7)
     assert len(calls) == 1
 
 
@@ -110,12 +158,13 @@ def test_bidirectional_context_layout():
     # Blank at position 1: two before (padded), two after.
     expected_context = [OOS_ID, 3, 5, 6]
     by_layout = context_log_prob(params, expected_context, 8)
-    scored = score_sentence_bidirectional(params, sentence, 1, 8)
+    problem = CompletionProblem(sentence, 1, [8, 2, 7, 9, 0])
+    scored = evaluation._candidate_totals(params, [problem], "bi", 2)[0, 0]
     assert np.isclose(scored, by_layout, rtol=1e-12)
 
     odd = init_params(10, 2, 3, dtype=np.float64)
     with pytest.raises(ConfigError, match="even"):
-        score_sentence_bidirectional(odd, sentence, 1, 8)
+        completion_accuracy(odd, [problem], "bi")
 
 
 def test_scorers_validate_blank_position():
@@ -130,13 +179,13 @@ def test_answer_completion_prefers_likely_candidate_and_breaks_ties_low():
     probs = np.array([0.05, 0.05, 0.6, 0.15, 0.15])
     params = _bias_only_params(np.log(probs))
     problem = CompletionProblem([0, 1, 3], 1, [4, 2, 0, 1, 3])
-    assert answer_completion(params, problem, "uni") == 1  # candidate word 2
+    assert completion_accuracy(params, [problem], "uni")[0][0] == 1  # candidate word 2
 
     flat = _bias_only_params(np.zeros(5))
-    assert answer_completion(flat, problem, "uni") == 0
+    assert completion_accuracy(flat, [problem], "uni")[0][0] == 0
 
     with pytest.raises(ConfigError):
-        answer_completion(params, problem, "both")
+        completion_accuracy(params, [problem], "both")
 
 
 def test_completion_accuracy_counts_only_answered_problems():
@@ -202,7 +251,7 @@ def test_batched_ranker_matches_public_sentence_scorers(mode, context_size):
     ])
     choices, _ = completion_accuracy(params, problems, mode)
     assert choices == np.argmax(full, axis=1).tolist()
-    assert [answer_completion(params, p, mode) for p in problems] == choices
+    assert [completion_accuracy(params, [p], mode)[0][0] for p in problems] == choices
     # The dropped rows add the same term to every candidate of a problem.
     width = context_size if mode == "uni" else context_size // 2
     totals = evaluation._candidate_totals(

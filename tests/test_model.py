@@ -19,6 +19,13 @@ from ncelm.model import (
 )
 
 
+def _per_context_store(table):
+    """A per-context store holding the context-tuple -> value entries."""
+    store = NormalizerStore("per-context")
+    store.set_values(list(table), list(table.values()))
+    return store
+
+
 def test_init_params_shapes_and_determinism():
     p = init_params(vocab_size=11, dim=4, context_size=3)
     assert p.context_vectors.shape == (11, 4)
@@ -157,7 +164,7 @@ def test_normalizer_store_modes():
 
 def test_checkpoint_round_trip(tmp_path):
     p = init_params(7, 3, 2, seed=9)
-    store = NormalizerStore("per-context", {(1, 2): -0.75, (0, 0): 1.25})
+    store = _per_context_store({(1, 2): -0.75, (0, 0): 1.25})
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, p, store)
 
@@ -204,7 +211,7 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.setattr(
         model, "open", lambda *a, **kw: FullDisk(open(*a, **kw)), raising=False
     )
-    store = NormalizerStore("per-context", {(1, 2): -0.75})
+    store = _per_context_store({(1, 2): -0.75})
     with pytest.raises(OSError, match="No space"):
         save_checkpoint(path, init_params(7, 3, 2, seed=2), store)
     assert path.read_bytes() == before
@@ -345,7 +352,7 @@ def test_normalizer_store_unpackable_keys_order_save_and_look_up_like_tuples(tmp
 
 
 def test_normalizer_store_table_is_a_read_only_view_of_touched_entries():
-    store = NormalizerStore("per-context", {(2, 1): 0.5})
+    store = _per_context_store({(2, 1): 0.5})
     store.register(np.array([[0, 3], [2, 1], [4, 4]]))
     assert len(store.table) == 1
     assert store.table == {(2, 1): 0.5}

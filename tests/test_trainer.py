@@ -15,6 +15,13 @@ from ncelm.trainer import (
 )
 
 
+def _per_context_store(table):
+    """A per-context store holding the context-tuple -> value entries."""
+    store = NormalizerStore("per-context")
+    store.set_values(list(table), list(table.values()))
+    return store
+
+
 def test_update_learning_rate_halves_only_on_increase():
     assert update_learning_rate(0.1, 100.0, 101.0) == 0.05
     assert update_learning_rate(0.1, 100.0, 100.0) == 0.1
@@ -117,7 +124,7 @@ def test_sgd_step_raises_on_nonfinite_update():
         "context_vectors", "target_vectors", "context_transforms", "biases", "normalizers"
     ):
         params = init_params(3, 2, 1)
-        store = NormalizerStore("per-context", {(0,): 0.5, (2,): -0.5})
+        store = _per_context_store({(0,): 0.5, (2,): -0.5})
         grad = _gradient(params, [0])
         grad.context_vector_ids = np.array([1])
         grad.context_vector_grads = np.zeros((1, 2))
@@ -262,7 +269,7 @@ def test_benchmark_update_measures_without_mutating(tiny_corpus):
 def test_sgd_step_nonfinite_normalizer_is_a_divergence():
     params = init_params(3, 2, 2)
     for bad in (np.inf, np.nan):
-        store = NormalizerStore("per-context", {(0, 1): 0.5, (2, 2): -0.5})
+        store = _per_context_store({(0, 1): 0.5, (2, 2): -0.5})
         grad = _gradient(params)
         grad.normalizer_grads = (store.register([(2, 2)]), np.array([bad]))
         with pytest.raises(DivergenceError, match="normalizers"):
@@ -276,7 +283,7 @@ def test_initial_normalizers_outside_training_survive_train_and_checkpoint(
     seen = {tuple(row) for row in train_set.contexts.tolist()}
     extra = [(29, 28), (28, 29)]
     assert not seen & set(extra)
-    initial = NormalizerStore("per-context", {extra[0]: -1.25, extra[1]: 0.5})
+    initial = _per_context_store({extra[0]: -1.25, extra[1]: 0.5})
     path = tmp_path / "ctx.ckpt"
     cfg = TrainConfig(estimator="nce", k=2, dim=4, minibatch_size=16,
                       initial_lr=0.1, max_epochs=1, seed=9,

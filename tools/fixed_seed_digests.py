@@ -1,4 +1,4 @@
-"""Print SHA-256 digests of seven fixed-seed training runs.
+"""Print SHA-256 digests of eight fixed-seed training runs.
 
     PYTHONPATH=src python3 tools/fixed_seed_digests.py [--epochs N]
 
@@ -8,8 +8,9 @@ sentences) into a temporary directory and trains on it through
 ``ncelm.cli.main`` with ``--seed 7 --dim 16 --batch-size 100``: exact
 ML, NCE with fixed-one normalizers, NCE with per-context normalizers,
 NCE with shared noise draws, NCE with per-context normalizers and
-shared noise draws, importance sampling with k=10, and NCE at
-``--precision 64``. For each run it prints one line with the digest of
+shared noise draws, importance sampling with k=10, NCE at
+``--precision 64``, and NCE with the two-sided context layout
+(``--bidirectional --context-size 2``). For each run it prints one line with the digest of
 the checkpoint and of the history CSV without its ``seconds`` column,
 the only field that depends on the host. A refactor that claims to keep
 training behaviour prints the same lines before and after.
@@ -41,6 +42,8 @@ RUNS = (
                                     "--normalizer", "per-context", "--share-noise"]),
     ("is-k10", [], ["--estimator", "is", "--k", "10", "--lr", "0.01"]),
     ("nce-precision64", ["--precision", "64"], ["--estimator", "nce", "--lr", "0.01"]),
+    ("nce-bidirectional", [], ["--estimator", "nce", "--lr", "0.01",
+                               "--bidirectional", "--context-size", "2"]),
 )
 
 

@@ -6,10 +6,12 @@ word's score is the dot product of that prediction with the word's
 target vector plus a per-word bias. scores_all scores every word in
 float64, and full_distribution takes its softmax; every full-vocabulary
 pass except the exact-likelihood training gradient goes through
-scores_all. Per-context log-normalizers, when trained instead of
-computed, live in a NormalizerStore: dense float64 values indexed by
-entry id, found by binary search over contexts packed into sorted int64
-codes.
+scores_all. That gradient scores with the bias as one more feature
+column of a single float64 GEMM and never normalizes its rows (see
+estimators.ml_gradient_and_objective). Per-context log-normalizers,
+when trained instead of computed, live in a NormalizerStore: dense
+float64 values indexed by entry id, found by binary search over
+contexts packed into sorted int64 codes.
 
 Parameters are stored in float32 by default for training speed;
 probability arithmetic always accumulates in float64. Oracle tests use

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit, log_expit
 
 from ncelm import estimators
 from ncelm.diagnostics import (
@@ -64,6 +65,104 @@ def test_ml_gradient_is_additive_over_examples():
     ) + flatten_gradient(ml_gradient_and_objective(params, normalizers, rest)[0], params)
     whole = ml_gradient_and_objective(params, normalizers, batch)[0]
     assert np.allclose(summed, flatten_gradient(whole, params))
+
+
+def _dense_ml_reference(params, batch):
+    """The exact-ML gradient as the normalized dense softmax formula
+    (bias added after the score GEMM, rows divided by Z, a negated
+    one-hot residual, per-position context-side products), kept as the
+    reference for the unnormalized one-pass kernel."""
+    contexts, targets = batch
+    b = targets.shape[0]
+    qhat = estimators.predicted_representation_batch(params, contexts)
+    qh64 = qhat.astype(np.float64)
+    tgt64 = params.target_vectors.astype(np.float64)
+    scores = qh64 @ tgt64.T
+    scores += params.biases.astype(np.float64)
+    target_scores = scores[np.arange(b), targets].copy()
+    shift = scores.max(axis=1, keepdims=True)
+    np.subtract(scores, shift, out=scores)
+    probs = np.exp(scores, out=scores)
+    norm = probs.sum(axis=1, keepdims=True)
+    probs /= norm
+    log_z = (np.log(norm) + shift)[:, 0]
+    objective = float(target_scores.sum() - log_z.sum())
+    g_qhat = (tgt64[targets] - probs @ tgt64).astype(params.dtype)
+    resid = np.negative(probs, out=probs)
+    resid[np.arange(b), targets] += 1.0
+    bias_grads = resid.sum(axis=0)
+    target_grads = resid.T @ qh64
+
+    c = params.context_size
+    ctx_rows = params.context_vectors[contexts]
+    transforms = params.context_transforms
+    if params.matrix_mode == "full":
+        pos_grads = np.stack([g_qhat @ transforms[i] for i in range(c)], axis=1)
+        t_grads = np.stack([g_qhat.T @ ctx_rows[:, i] for i in range(c)])
+    else:
+        pos_grads = transforms[None, :, :] * g_qhat[:, None, :]
+        t_grads = np.einsum("bi,bci->ci", g_qhat, ctx_rows)
+    cids = np.unique(contexts)
+    cgrads = np.zeros((cids.size, params.dim), dtype=params.dtype)
+    np.add.at(cgrads, np.searchsorted(cids, contexts.ravel()), pos_grads.reshape(b * c, -1))
+    return (
+        Gradient(
+            cids, cgrads, np.arange(params.vocab_size), target_grads.astype(params.dtype),
+            t_grads, bias_grads.astype(params.dtype),
+        ),
+        objective,
+    )
+
+
+def _ml_kernel_case(matrix_mode, dtype, v=40, d=6, c=3, b=25):
+    """A batch where word 3 is the target of several rows (some sharing
+    a context) and word 0 is never a target."""
+    params = init_params(v, d, c, matrix_mode, init_scale=0.7, seed=5, dtype=dtype)
+    rng = np.random.default_rng(6)
+    params.biases[:] = rng.standard_normal(v)
+    params.context_transforms[:] += 0.3 * rng.standard_normal(params.context_transforms.shape)
+    contexts = rng.integers(0, v, size=(b, c))
+    contexts[4] = contexts[1]
+    targets = rng.integers(1, v, size=b)
+    targets[[1, 4, 9, 17]] = 3
+    return params, (contexts, targets)
+
+
+_GRADIENT_FIELDS = (
+    "context_vector_ids", "context_vector_grads", "target_vector_ids",
+    "target_vector_grads", "transform_grads", "bias_grads",
+)
+
+
+@pytest.mark.parametrize("matrix_mode", ["full", "diagonal"])
+def test_one_pass_ml_kernel_matches_the_dense_formula_in_float64(matrix_mode):
+    params, batch = _ml_kernel_case(matrix_mode, np.float64)
+    assert 0 not in batch[1] and (batch[1] == 3).sum() >= 4
+    grad, objective = ml_gradient_and_objective(params, NormalizerStore(), batch)
+    ref, ref_objective = _dense_ml_reference(params, batch)
+    assert objective == ref_objective
+    for name in _GRADIENT_FIELDS:
+        got, want = getattr(grad, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+    # The never-observed word gets only the expectation term, which
+    # points its bias down.
+    assert grad.bias_grads[0] < 0 and grad.bias_grads[3] > 0
+
+
+# The second shape is one where a single (b, d) @ (d, c*d) GEMM in place
+# of the per-position products rounds differently on OpenBLAS.
+@pytest.mark.parametrize("shape", [(40, 6, 3, 25), (60, 100, 2, 50)])
+@pytest.mark.parametrize("matrix_mode", ["full", "diagonal"])
+def test_one_pass_ml_kernel_matches_the_dense_formula_in_float32(matrix_mode, shape):
+    params, batch = _ml_kernel_case(matrix_mode, np.float32, *shape)
+    grad, objective = ml_gradient_and_objective(params, NormalizerStore(), batch)
+    ref, ref_objective = _dense_ml_reference(params, batch)
+    assert objective == ref_objective
+    for name in _GRADIENT_FIELDS:
+        got, want = getattr(grad, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -155,6 +254,15 @@ def test_nce_limit_gaps_shrink_toward_ml():
     assert grid == [1, 10, 100]
     assert gaps[0] >= gaps[1] >= gaps[2]
     assert gaps[2] < 0.1
+
+
+def test_noise_objective_from_coefficients_matches_log_expit():
+    # -800: expit underflows to 0; -720: expit is subnormal; 0 and 40:
+    # np.log of the coefficient itself.
+    z = np.array([[-800.0, -720.0, 0.0, 40.0]])
+    got = estimators._log_of_expit(expit(z), z)
+    np.testing.assert_allclose(got, log_expit(z), rtol=1e-15, atol=1e-17)
+    assert np.all(np.isfinite(got))
 
 
 def test_nce_objective_replays_gradient_draws():

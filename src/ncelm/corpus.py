@@ -208,23 +208,11 @@ def two_sided_offsets(half: int) -> np.ndarray:
     return np.r_[-half:0, 1 : half + 1]
 
 
-def _flatten(sentences, count=-1) -> np.ndarray:
-    """Every token of every sentence as one int64 array, with no
-    per-token Python work: array sentences are concatenated, and the
-    Python ints of list sentences are read by np.fromiter (which would
-    box every numpy scalar of an array, while np.concatenate would
-    convert each list on its own)."""
-    if len(sentences) > 0 and all(isinstance(s, np.ndarray) for s in sentences):
-        # Casts like np.fromiter; an empty np.array([]) sentence is float64.
-        return np.concatenate(sentences, dtype=np.int64, casting="unsafe")
-    return np.fromiter(chain.from_iterable(sentences), np.int64, count)
-
-
 def _every_token(sentences, offsets, oos_id) -> tuple[np.ndarray, np.ndarray]:
     """The window at offsets around every token of every sentence, and
     the tokens themselves."""
     lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
-    words = _flatten(sentences, lengths.sum())
+    words = np.fromiter(chain.from_iterable(sentences), np.int64, lengths.sum())
     sentence_of = np.repeat(np.arange(lengths.size), lengths)
     centers = np.arange(words.size) - (np.cumsum(lengths) - lengths)[sentence_of]
     return context_windows(words, lengths, sentence_of, centers, offsets, oos_id), words
@@ -253,7 +241,7 @@ def extract_pairs(
     else:
         # One sentence spanning the corpus, less the first context_size
         # tokens, whose contexts would reach past its start.
-        stream = [_flatten(sentences)]
+        stream = [np.fromiter(chain.from_iterable(sentences), np.int64)]
         contexts, targets = _every_token(stream, offsets, oos_id)
         contexts, targets = contexts[context_size:], targets[context_size:]
     return Dataset(contexts, targets, context_size, boundary_mode)

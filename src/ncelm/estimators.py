@@ -22,10 +22,6 @@ Gradient). Shared-draw NCE has its own forward and backward.
 Exact ML makes one unnormalized softmax pass over the (B, V) score
 matrix; 1/Z scales only the small outputs of the GEMMs that read it.
 
-The NCE forwards compute the logistic coefficients expit(z) once; the
-objective takes the noise terms as their np.log (log_expit only where
-expit underflows) and the backward reuses them as gradient weights.
-
 Sign convention: gradients point in the ascent direction of the
 estimator's objective (log-likelihood for ML and IS, the binary
 data-vs-noise classification objective for NCE), so an SGD step adds
@@ -305,23 +301,9 @@ def _nce_forward(params, normalizers, batch, noise, k, rng):
         s += normalizers.values[norm_ids][:, None]
     # z > 0 favors the noise explanation, z < 0 the model's.
     z = (np.log(k) + log_pn) - s
+    objective = float(log_expit(-z[:, 0]).sum() + log_expit(z[:, 1:]).sum())
     coefs = expit(z)
-    objective = float(
-        log_expit(-z[:, 0]).sum() + _log_of_expit(coefs[:, 1:], z[:, 1:]).sum()
-    )
     return objective, (contexts, words, qhat, tw, coefs, norm_ids)
-
-
-def _log_of_expit(coefs, z):
-    """log_expit(z) given coefs = expit(z): np.log of the coefficients,
-    and log_expit itself only where expit fell below the smallest normal
-    float64, where the log would lose digits or be -inf."""
-    with np.errstate(divide="ignore"):
-        out = np.log(coefs)
-    low = coefs < np.finfo(np.float64).tiny
-    if low.any():
-        out[low] = log_expit(z[low])
-    return out
 
 
 def _nce_backward(params, contexts, words, qhat, tw, coefs, norm_ids):
@@ -374,8 +356,8 @@ def _nce_shared_forward(params, normalizers, batch, noise, k, rng):
         s_n += shift[:, None]
     z_t = (np.log(k) + log_pn_t) - s_t
     z_n = (np.log(k) + noise.log_probs[samples])[None, :] - s_n
+    objective = float(log_expit(-z_t).sum() + log_expit(z_n).sum())
     coef_t, coef_n = expit(z_t), expit(z_n)
-    objective = float(log_expit(-z_t).sum() + _log_of_expit(coef_n, z_n).sum())
     state = (contexts, targets, samples, qhat, tq, sample_vecs, coef_t, coef_n, norm_ids)
     return objective, state
 

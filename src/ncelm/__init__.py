@@ -41,7 +41,6 @@ from .estimators import (
     Gradient,
     IsStats,
     exact_nce_gradient,
-    exact_nce_objective,
     expected_ml_gradient,
     is_gradient_and_objective,
     is_objective,

@@ -33,23 +33,16 @@ FD_STEP = 1e-5
 def flatten_gradient(
     gradient: Gradient, params: LblParams, norm_ids=()
 ) -> np.ndarray:
-    """Densify a sparse Gradient into one float64 vector: context vectors,
-    target vectors, transforms and biases, each raveled, then the
-    normalizer gradients of the given entry ids. finite_difference_gradient
-    returns the same layout."""
-    v, d = params.vocab_size, params.dim
-    ctx = np.zeros((v, d))
-    ctx[gradient.context_vector_ids] = gradient.context_vector_grads
-    tgt = np.zeros((v, d))
-    tgt[gradient.target_vector_ids] = gradient.target_vector_grads
-    bias = np.zeros(v)
-    bias[gradient.target_vector_ids] = gradient.bias_grads
-    parts = [
-        ctx.ravel(),
-        tgt.ravel(),
-        np.asarray(gradient.transform_grads, dtype=np.float64).ravel(),
-        bias,
-    ]
+    """Densify a sparse Gradient into one float64 vector: each tensor of
+    params.tensors() raveled in order, then the normalizer gradients of
+    the given entry ids. finite_difference_gradient returns the same
+    layout."""
+    tensors = params.tensors()
+    parts = []
+    for name, (ids, grads) in gradient.rows(params).items():
+        dense = np.zeros(tensors[name].shape)
+        dense[ids] = grads
+        parts.append(dense.ravel())
     if len(norm_ids):
         ids, sums = gradient.normalizer_grads
         by_id = dict(zip(ids.tolist(), sums.tolist()))
@@ -72,7 +65,7 @@ def finite_difference_gradient(
     stochastic objectives need their sample draws frozen (replay the
     same rng seed on every call). It sees one float64 working copy of
     params and normalizers, probed one coordinate at a time and restored
-    after each probe, so the caller's params and store are untouched.
+    after each probe, so the caller's params and store keep their values.
     """
     if normalizers is None:
         normalizers = NormalizerStore(mode="fixed-one")
@@ -323,14 +316,6 @@ def importance_stability_probe(
     return result
 
 
-def speedup_values() -> dict[str, float]:
-    """Predicted update-cost ratios at the reference shape."""
-    return {
-        "full": predicted_speedup(2, 100, 10_000, 25, "full"),
-        "diagonal": predicted_speedup(2, 100, 10_000, 25, "diagonal"),
-    }
-
-
 def run_diagnostic(name: str, seed: int = 0) -> tuple[dict, bool]:
     """Execute one named diagnostic; returns (report, passed)."""
     if name == "gradcheck":
@@ -360,13 +345,14 @@ def run_diagnostic(name: str, seed: int = 0) -> tuple[dict, bool]:
         report = {key: value for key, value in result.items()}
         return report, bool(result["is_unstable"] and result["nce_completed"])
     if name == "speedup":
-        values = speedup_values()
+        full = predicted_speedup(2, 100, 10_000, 25, "full")
+        diagonal = predicted_speedup(2, 100, 10_000, 25, "diagonal")
         report = {
-            "full": f"{values['full']:.4f}",
-            "diagonal": f"{values['diagonal']:.4f}",
+            "full": f"{full:.4f}",
+            "diagonal": f"{diagonal:.4f}",
             "expected_full": "45.3",
             "expected_diagonal": "370.4",
         }
-        ok = abs(values["full"] - 45.3) <= 0.1 and abs(values["diagonal"] - 370.4) <= 0.1
+        ok = abs(full - 45.3) <= 0.1 and abs(diagonal - 370.4) <= 0.1
         return report, ok
     raise ConfigError(f"unknown diagnostic {name!r}")

@@ -83,6 +83,16 @@ class Gradient:
         default_factory=_no_normalizer_grads
     )
 
+    def rows(self, params: LblParams) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """{tensor name: (row ids, row gradients)} in params.tensors() order."""
+        rows = {
+            "context_vectors": (self.context_vector_ids, self.context_vector_grads),
+            "target_vectors": (self.target_vector_ids, self.target_vector_grads),
+            "context_transforms": (np.arange(params.context_size), self.transform_grads),
+            "biases": (self.target_vector_ids, self.bias_grads),
+        }
+        return {name: rows[name] for name in params.tensors()}
+
 
 @dataclass
 class IsStats:
@@ -478,27 +488,6 @@ def expected_ml_gradient(
     p_model = full_distribution(params, np.asarray(context, dtype=np.int64)[None, :])[0]
     coefs = np.asarray(data_dist, dtype=np.float64) - p_model
     return _enumerated_gradient(params, normalizers, context, coefs, 0.0)
-
-
-def exact_nce_objective(
-    params: LblParams,
-    normalizers: NormalizerStore,
-    data_dist: np.ndarray,
-    context,
-    noise: NoiseDistribution,
-    k: int,
-) -> float:
-    """Expected NCE objective by enumeration (the quantity whose gradient
-    exact_nce_gradient computes); test oracle."""
-    if not noise.has_full_support:
-        raise SupportError("enumeration oracle requires full noise support")
-    s = scores_all(params, np.asarray(context, dtype=np.int64)[None, :])[0]
-    s += normalizers.lookup(context)
-    z = (np.log(k) + noise.log_probs) - s
-    data_dist = np.asarray(data_dist, dtype=np.float64)
-    return float(
-        (data_dist * log_expit(-z)).sum() + k * (noise.probs * log_expit(z)).sum()
-    )
 
 
 def is_gradient_and_objective(

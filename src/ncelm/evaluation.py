@@ -49,16 +49,13 @@ _SCORE_BUFFER_ELEMS = 1 << 20
 
 
 def _target_log_probs(
-    params: LblParams,
-    contexts: np.ndarray,
-    targets: np.ndarray,
-    chunk_rows: int | None = None,
+    params: LblParams, contexts: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """ln P(target | context) for each row, explicitly normalized in float64.
 
-    Scores chunk_rows rows at a time (by default as many as fit in
-    _SCORE_BUFFER_ELEMS) into one buffer that every chunk reuses. Raises
-    ConfigError when a context or target id is outside the vocabulary.
+    Scores as many rows at a time as fit in _SCORE_BUFFER_ELEMS into one
+    buffer that every chunk reuses. Raises ConfigError when a context or
+    target id is outside the vocabulary.
     """
     n = targets.shape[0]
     v = params.vocab_size
@@ -78,9 +75,7 @@ def _target_log_probs(
             target_vectors=params.target_vectors.astype(np.float64),
             biases=params.biases.astype(np.float64),
         )
-    if chunk_rows is None:
-        chunk_rows = _SCORE_BUFFER_ELEMS // v
-    chunk_rows = max(1, min(chunk_rows, n))
+    chunk_rows = max(1, min(_SCORE_BUFFER_ELEMS // v, n))
     buffer = np.empty((chunk_rows, v))
     out = np.empty(n)
     for lo in range(0, n, chunk_rows):
@@ -93,19 +88,16 @@ def _target_log_probs(
     return out
 
 
-def perplexity(params: LblParams, dataset: Dataset, chunk_rows: int | None = None) -> float:
+def perplexity(params: LblParams, dataset: Dataset) -> float:
     """exp of the mean negative log probability over the dataset.
 
-    chunk_rows sets how many rows the kernel scores at once; by default
-    the (rows x vocabulary) score buffer stays near 8 MB whatever the
+    The (rows x vocabulary) score buffer stays near 8 MB whatever the
     corpus size.
     """
     n = len(dataset)
     if n == 0:
         raise ConfigError("perplexity needs a non-empty dataset")
-    total = float(
-        _target_log_probs(params, dataset.contexts, dataset.targets, chunk_rows).sum()
-    )
+    total = float(_target_log_probs(params, dataset.contexts, dataset.targets).sum())
     # A sufficiently bad model can push the mean past exp's float64
     # range; its perplexity is then reported as inf, not a warning.
     with np.errstate(over="ignore"):

@@ -24,7 +24,7 @@ import math
 import os
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +65,7 @@ class LblParams:
         return self.target_vectors.dtype
 
     def tensors(self) -> dict[str, np.ndarray]:
+        """The tensors by name, in the order every consumer uses."""
         return {
             "context_vectors": self.context_vectors,
             "target_vectors": self.target_vectors,
@@ -73,18 +74,10 @@ class LblParams:
         }
 
     def copy(self) -> "LblParams":
-        return LblParams(
-            self.context_vectors.copy(), self.target_vectors.copy(),
-            self.context_transforms.copy(), self.biases.copy(),
-            self.matrix_mode, self.dim, self.context_size,
-        )
+        return replace(self, **{n: t.copy() for n, t in self.tensors().items()})
 
     def astype(self, dtype) -> "LblParams":
-        return LblParams(
-            self.context_vectors.astype(dtype), self.target_vectors.astype(dtype),
-            self.context_transforms.astype(dtype), self.biases.astype(dtype),
-            self.matrix_mode, self.dim, self.context_size,
-        )
+        return replace(self, **{n: t.astype(dtype) for n, t in self.tensors().items()})
 
 
 # Largest word id a normalizer key can hold: checkpoints store ids as uint32.
@@ -95,13 +88,12 @@ class NormalizerStore:
     """Per-context log-normalizers, or the constant 0 in fixed-one mode.
 
     Entries live in dense arrays indexed by entry id: the context rows
-    (int64, one row per entry), float64 values and a mask of touched
-    entries. Registering a context appends an untouched entry with
-    value 0, so entry ids never change; an entry is touched once it is
-    written or updated, and only touched entries are stored (table,
-    checkpoints). train() registers every training context at its
-    start; any other caller that meets an unseen context registers it
-    on the fly.
+    (int64, one row per entry) and float64 values. Registering a context
+    appends an entry with value 0, so entry ids never change; a
+    registered entry is in table and in checkpoints whether or not it
+    has been written. train() registers every training context at its
+    start, and its first epoch writes each of them; any other caller
+    that meets an unseen context registers it on the fly.
 
     Lookups pack each context into one int64 code, position 0 most
     significant in radix (largest registered id + 1), so the sorted
@@ -109,8 +101,8 @@ class NormalizerStore:
     radix ** context_size would overflow int64, rows are matched and
     ordered with np.unique(axis=0) instead.
 
-    Unseen contexts read as 0 until their first update, so a freshly
-    constructed per-context store behaves exactly like fixed-one.
+    Unseen and unwritten contexts read as 0, so a freshly constructed
+    per-context store behaves exactly like fixed-one.
     """
 
     def __init__(self, mode: str = "fixed-one"):
@@ -120,8 +112,6 @@ class NormalizerStore:
         self.context_size: int | None = None
         self._keys = np.empty((0, 0), dtype=np.int64)
         self._values = np.empty(0)
-        self._touched = np.empty(0, dtype=bool)
-        self._touched_count = 0
         # Entry ids in sorted key order, and their packed codes (None
         # when the keys do not pack into int64).
         self._order = np.empty(0, dtype=np.int64)
@@ -131,7 +121,7 @@ class NormalizerStore:
 
     @property
     def table(self) -> "Mapping[tuple[int, ...], float]":
-        """Read-only view of the touched entries: context tuple -> value."""
+        """Read-only view of the entries: context tuple -> value."""
         return _NormalizerTable(self)
 
     @property
@@ -188,8 +178,8 @@ class NormalizerStore:
         return ids
 
     def _add_keys(self, rows: np.ndarray) -> None:
-        """Append one untouched entry per distinct row; no row may have
-        an entry yet."""
+        """Append one entry with value 0 per distinct row; no row may
+        have an entry yet."""
         if rows.min() < 0 or rows.max() > _MAX_KEY_ID:
             raise ConfigError(
                 f"normalizer contexts hold word ids in [0, {_MAX_KEY_ID}], "
@@ -219,11 +209,10 @@ class NormalizerStore:
         grow = len(keys) - len(old)
         self._keys = keys
         self._values = np.concatenate([self._values, np.zeros(grow)])
-        self._touched = np.concatenate([self._touched, np.zeros(grow, dtype=bool)])
 
     def register(self, contexts) -> np.ndarray:
         """Entry ids of the context rows, registering each context not
-        yet in the store as an untouched entry with value 0."""
+        yet in the store as an entry with value 0."""
         rows = self._rows(contexts)
         ids = self._find(rows)
         missing = ids < 0
@@ -236,32 +225,22 @@ class NormalizerStore:
         return float(self.lookup_batch(np.asarray(context, dtype=np.int64)[None, :])[0])
 
     def lookup_batch(self, contexts: np.ndarray) -> np.ndarray:
-        if self.mode == "fixed-one" or self._touched_count == 0:
+        if self.mode == "fixed-one" or len(self._keys) == 0:
             return np.zeros(len(contexts))
         ids = self._find(self._rows(contexts))
         return np.where(ids >= 0, self._values[ids], 0.0)
-
-    def _touch(self, ids: np.ndarray) -> None:
-        touched = self._touched[ids]
-        if not touched.all():
-            fresh = np.unique(ids[~touched])
-            self._touched[fresh] = True
-            self._touched_count += fresh.size
 
     def set_values(self, contexts, values) -> None:
         """Write values for the context rows, registering unseen ones."""
         self.assign(self.register(contexts), values)
 
     def assign(self, ids: np.ndarray, values) -> None:
-        """values[ids] = values by entry id, touching the entries."""
-        self._touch(ids)
+        """values[ids] = values by entry id."""
         self._values[ids] = values
 
-    def touched_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Context rows and values of the touched entries, in sorted
-        context order."""
-        ids = self._order[self._touched[self._order]]
-        return self._keys[ids], self._values[ids]
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Context rows and values of every entry, in sorted context order."""
+        return self._keys[self._order], self._values[self._order]
 
     def copy(self) -> "NormalizerStore":
         # Key, order and code arrays are replaced, never written in
@@ -269,22 +248,21 @@ class NormalizerStore:
         new = object.__new__(NormalizerStore)
         new.__dict__.update(self.__dict__)
         new._values = self._values.copy()
-        new._touched = self._touched.copy()
         return new
 
 
 class _NormalizerTable(Mapping):
-    """Read-only mapping view of a store's touched entries, context id
-    tuple -> value, iterated in sorted context order; len is O(1)."""
+    """Read-only mapping view of a store's entries, context id tuple ->
+    value, iterated in sorted context order; len is O(1)."""
 
     def __init__(self, store: NormalizerStore):
         self._store = store
 
     def __len__(self) -> int:
-        return self._store._touched_count
+        return len(self._store._keys)
 
     def __iter__(self):
-        keys, _ = self._store.touched_entries()
+        keys, _ = self._store.entries()
         return map(tuple, keys.tolist())
 
     def __getitem__(self, key) -> float:
@@ -292,7 +270,7 @@ class _NormalizerTable(Mapping):
         if store.context_size is None or len(key) != store.context_size:
             raise KeyError(key)
         i = store._find(np.asarray([key], dtype=np.int64))[0]
-        if i < 0 or not store._touched[i]:
+        if i < 0:
             raise KeyError(key)
         return float(store._values[i])
 
@@ -423,12 +401,10 @@ def save_checkpoint(path, params: LblParams, normalizers: NormalizerStore) -> No
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(header)
-            f.write(np.ascontiguousarray(params.context_vectors, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(params.target_vectors, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(params.context_transforms, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(params.biases, dtype="<f4").tobytes())
+            for tensor in params.tensors().values():
+                f.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
             if normalizers.mode == "per-context":
-                keys, values = normalizers.touched_entries()
+                keys, values = normalizers.entries()
                 records = np.empty(len(values), dtype=_record_dtype(params.context_size))
                 if len(values):
                     records["key"] = keys

@@ -185,22 +185,17 @@ def sgd_step(
 ) -> LblParams:
     """Ascend: theta += lr * (gradient - weight_penalty * theta), in place.
 
-    The L2 penalty touches only rows the gradient touches (plus the
-    always-dense transform matrices); per-context normalizer entries
-    take plain unpenalized steps through update_normalizers. Raises a
-    divergence error naming the first tensor that leaves the finite
-    range; that tensor (or the normalizer store) is left as it was, and
-    the ones applied before it (context, target, transform, bias,
-    normalizer order) keep their step.
+    Applies gradient.rows(params) in params.tensors() order, then the
+    normalizers. The L2 penalty touches only rows the gradient touches
+    (plus the always-dense transform matrices); per-context normalizer
+    entries take plain unpenalized steps through update_normalizers.
+    Raises a divergence error naming the first tensor that leaves the
+    finite range; that tensor (or the normalizer store) is left as it
+    was, and the ones applied before it keep their step.
     """
-    target_ids = gradient.target_vector_ids
-    for name, ids, grads in (
-        ("context_vectors", gradient.context_vector_ids, gradient.context_vector_grads),
-        ("target_vectors", target_ids, gradient.target_vector_grads),
-        ("context_transforms", np.arange(params.context_size), gradient.transform_grads),
-        ("biases", target_ids, gradient.bias_grads),
-    ):
-        _apply_rows(getattr(params, name), ids, grads, learning_rate, weight_penalty, name)
+    tensors = params.tensors()
+    for name, (ids, grads) in gradient.rows(params).items():
+        _apply_rows(tensors[name], ids, grads, learning_rate, weight_penalty, name)
     update_normalizers(gradient, normalizers, learning_rate)
     return params
 

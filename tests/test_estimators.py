@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import log_expit
 
 from ncelm import estimators
 from ncelm.diagnostics import (
@@ -22,7 +23,7 @@ from ncelm.estimators import (
     nce_objective,
     update_normalizers,
 )
-from ncelm.model import LblParams, NormalizerStore, init_params
+from ncelm.model import LblParams, NormalizerStore, init_params, scores_all
 from ncelm.noise import from_counts, uniform
 
 
@@ -159,6 +160,17 @@ def test_finite_difference_agreement_all_estimators(seed):
         assert err < 1e-5, name
 
 
+def _exact_nce_objective(params, normalizers, data_dist, context, noise, k):
+    """Expected NCE objective by enumeration, the quantity whose gradient
+    exact_nce_gradient computes."""
+    s = scores_all(params, np.asarray(context, dtype=np.int64)[None, :])[0]
+    s += normalizers.lookup(context)
+    z = (np.log(k) + noise.log_probs) - s
+    return float(
+        (data_dist * log_expit(-z)).sum() + k * (noise.probs * log_expit(z)).sum()
+    )
+
+
 def _exact_oracle_check(seed: int = 0, k: int = 7, step: float = FD_STEP) -> float:
     """Finite-difference check of the enumeration oracle itself."""
     params, normalizers, batch, noise, norm_ids = random_instance(seed)
@@ -168,9 +180,7 @@ def _exact_oracle_check(seed: int = 0, k: int = 7, step: float = FD_STEP) -> flo
     ids = normalizers.register(context[None, :])
     grad = exact_nce_gradient(params, normalizers, data_dist, context, noise, k)
     fd = finite_difference_gradient(
-        lambda p, nm: estimators.exact_nce_objective(
-            p, nm, data_dist, context, noise, k
-        ),
+        lambda p, nm: _exact_nce_objective(p, nm, data_dist, context, noise, k),
         params, normalizers, ids, step,
     )
     return max_relative_error(flatten_gradient(grad, params, ids), fd)
@@ -185,7 +195,7 @@ def test_finite_differences_of_a_linear_objective_return_its_coefficients():
     params, _, (contexts, _), _, _ = random_instance(3, normalizer_mode="fixed-one")
     store = NormalizerStore(mode="per-context")
     norm_ids = store.register(np.unique(contexts, axis=0))
-    store.assign(norm_ids[:1], [0.3])  # the other entries stay untouched
+    store.assign(norm_ids[:1], [0.3])  # the other entries stay at 0
     rng = np.random.default_rng(5)
     coefs = {name: rng.normal(size=t.shape) for name, t in params.tensors().items()}
     norm_coefs = rng.normal(size=len(norm_ids))
@@ -386,6 +396,34 @@ def test_normalizer_gradients_and_updates_match_a_dict_bit_for_bit():
     assert len(store.table) == len(table)
 
 
+@pytest.mark.parametrize("normalizer_mode", ["fixed-one", "per-context"])
+def test_shared_and_per_example_draws_agree_on_one_draw(monkeypatch, normalizer_mode):
+    # When every example draws the same k noise words, per-example NCE
+    # and shared-draw NCE compute the same estimator.
+    k = 5
+    for seed in range(6):
+        params, normalizers, batch, noise, norm_ids = random_instance(
+            seed, batch_size=6, normalizer_mode=normalizer_mode
+        )
+        drawn = np.random.default_rng(seed).integers(0, params.vocab_size, size=k)
+        monkeypatch.setattr(
+            estimators, "noise_sample", lambda dist, rng, size: np.broadcast_to(drawn, size)
+        )
+        (per_grad, per_obj), (shared_grad, shared_obj) = (
+            nce_gradient_and_objective(
+                params, normalizers, batch, noise, k, np.random.default_rng(0),
+                share_samples=share,
+            )
+            for share in (False, True)
+        )
+        assert np.allclose(
+            flatten_gradient(per_grad, params, norm_ids),
+            flatten_gradient(shared_grad, params, norm_ids),
+            rtol=1e-12, atol=0.0,
+        ), seed
+        assert np.isclose(per_obj, shared_obj, rtol=1e-12, atol=0.0), seed
+
+
 def test_nce_normalizer_gradient_has_one_entry_per_distinct_context():
     params = init_params(6, 3, 2, seed=1, dtype=np.float64)
     contexts = np.array([[1, 2], [0, 0], [1, 2], [3, 1], [0, 0], [1, 2]])
@@ -399,13 +437,14 @@ def test_nce_normalizer_gradient_has_one_entry_per_distinct_context():
         ids, sums = grad.normalizer_grads
         assert ids.tolist() == sorted(store.register([(0, 0), (1, 2), (3, 1)]).tolist())
         assert np.all(np.isfinite(sums))
-        # Registered on the fly, but nothing is stored until an update.
-        assert len(store.table) == 0
+        # Registered on the fly: each entry is in the table, reading 0
+        # until an update writes it.
+        assert store.table == {(0, 0): 0.0, (1, 2): 0.0, (3, 1): 0.0}
 
 
 def test_per_context_nce_gradient_searches_the_store_once(monkeypatch):
     params, normalizers, batch, noise, _ = random_instance(8)
-    assert len(normalizers.table) > 0  # every context registered and touched
+    assert len(normalizers.table) > 0  # every context registered and written
     find = NormalizerStore._find
     calls = []
 

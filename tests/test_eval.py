@@ -100,15 +100,13 @@ def test_perplexity_matches_hand_computation():
     assert np.isclose(perplexity(params, dataset), expected, rtol=1e-12)
 
 
-def test_perplexity_chunking_is_invisible():
+def test_perplexity_chunking_is_invisible(monkeypatch):
     params = init_params(20, 4, 2, seed=3, dtype=np.float64)
     rng = np.random.default_rng(0)
     dataset = extract_pairs([rng.integers(0, 20, size=50).tolist()], 2)
-    assert np.isclose(
-        perplexity(params, dataset),
-        perplexity(params, dataset, chunk_rows=7),
-        rtol=1e-12,
-    )
+    whole = perplexity(params, dataset)
+    monkeypatch.setattr(evaluation, "_SCORE_BUFFER_ELEMS", 7 * params.vocab_size)
+    assert np.isclose(whole, perplexity(params, dataset), rtol=1e-12)
 
 
 def test_perplexity_rejects_empty_dataset():

@@ -351,12 +351,14 @@ def test_normalizer_store_unpackable_keys_order_save_and_look_up_like_tuples(tmp
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_normalizer_store_table_is_a_read_only_view_of_touched_entries():
+def test_normalizer_store_table_is_a_read_only_view_of_registered_entries():
     store = _per_context_store({(2, 1): 0.5})
     store.register(np.array([[0, 3], [2, 1], [4, 4]]))
-    assert len(store.table) == 1
-    assert store.table == {(2, 1): 0.5}
-    assert store.table.get((0, 3)) is None
+    # A registered entry is in the table as soon as it exists, reading 0
+    # until it is written.
+    assert len(store.table) == 3
+    assert store.table == {(0, 3): 0.0, (2, 1): 0.5, (4, 4): 0.0}
+    assert store.table.get((3, 0)) is None
     assert store.lookup([0, 3]) == 0.0
     # Ids past the largest registered one must not alias a packed key:
     # (1, 6) packs in radix 5 to the code of (2, 1).
@@ -373,6 +375,22 @@ def test_normalizer_store_table_is_a_read_only_view_of_touched_entries():
 
     copy = store.copy()
     copy.set_values([(0, 3)], [-2.0])
-    assert store.table == {(2, 1): 0.5}
-    assert copy.table == {(0, 3): -2.0, (2, 1): 0.5}
-    assert list(copy.table) == [(0, 3), (2, 1)]
+    assert store.table == {(0, 3): 0.0, (2, 1): 0.5, (4, 4): 0.0}
+    assert copy.table == {(0, 3): -2.0, (2, 1): 0.5, (4, 4): 0.0}
+    assert list(copy.table) == [(0, 3), (2, 1), (4, 4)]
+
+
+def test_checkpoint_saves_a_registered_unwritten_entry_as_zero(tmp_path):
+    store = _per_context_store({(2, 1): 0.5})
+    store.register([(0, 3)])
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(5, 2, 2, seed=1), store)
+    records = struct.pack("<I2If2If", 2, 0, 3, 0.0, 2, 1, 0.5)
+    assert path.read_bytes().endswith(records)
+
+    params, loaded = load_checkpoint(path)
+    assert loaded.table == {(0, 3): 0.0, (2, 1): 0.5}
+    assert loaded.lookup([0, 3]) == 0.0
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, params, loaded)
+    assert again.read_bytes() == path.read_bytes()

@@ -128,7 +128,7 @@ def test_sgd_step_raises_on_nonfinite_update():
         grad = _gradient(params, [0])
         grad.context_vector_ids = np.array([1])
         grad.context_vector_grads = np.zeros((1, 2))
-        # (2,) has an entry; (1,) is registered but untouched.
+        # (2,) holds a value; (1,) is registered but never written.
         grad.normalizer_grads = (store.register([(2,), (1,)]), np.zeros(2))
         bad = {
             "context_vectors": grad.context_vector_grads,

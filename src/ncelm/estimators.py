@@ -14,10 +14,12 @@ objective function runs only the forward helper and its entry point
 runs the same helper once before the backward step, so replaying one
 rng state reproduces both.
 
-Per-example NCE and importance sampling differ only in the weight each
-scored word gets, so both run _sampled_forward (draws and scores of the
-[target, samples] word matrix) and _sampled_backward (coefficients to
-Gradient). Shared-draw NCE has its own forward and backward.
+NCE and importance sampling differ only in the weight each scored word
+gets, so both run _sampled_forward (draws and scores of the [target,
+samples] word matrix) and _sampled_backward (coefficients to Gradient).
+Whether NCE draws its noise per example or once for the batch changes
+only how those two gather and multiply the target rows; the NCE
+objective and coefficients are written once for both.
 
 Exact ML makes one unnormalized softmax pass over the (B, V) score
 matrix; 1/Z scales only the small outputs of the GEMMs that read it.
@@ -98,23 +100,12 @@ class Gradient:
 class IsStats:
     """Importance-weight health for one batch.
 
-    sum_weights is the mean over examples of the weight total that
-    normalizes the estimate; ess the mean effective sample size; and
-    max_weight_fraction the worst (largest) normalized weight seen in
-    the batch.
+    ess is the mean effective sample size and max_weight_fraction the
+    worst (largest) normalized weight seen in the batch.
     """
 
-    sum_weights: float
     ess: float
     max_weight_fraction: float
-
-
-def _merge_rows(ids_a, vals_a, ids_b, vals_b):
-    out_ids = np.union1d(ids_a, ids_b)
-    out_vals = np.zeros((out_ids.size, vals_a.shape[1]), dtype=vals_a.dtype)
-    out_vals[np.searchsorted(out_ids, ids_a)] += vals_a
-    out_vals[np.searchsorted(out_ids, ids_b)] += vals_b
-    return out_ids, out_vals
 
 
 def _rank1_rowsum(words: np.ndarray, coefs: np.ndarray, vecs: np.ndarray):
@@ -154,44 +145,64 @@ def _context_side(params, contexts, g_qhat):
     return ids, grads, t_grads
 
 
-def _gather_scores(params, qhat, words):
-    """Scores of the given words against each example's predicted vector.
+def _sampled_forward(params, batch, dist, k, rng, share_samples=False):
+    """Draws and scores shared by NCE and importance sampling.
 
-    Returns the gathered target rows (kept for the backward pass) and
-    the float64 score matrix.
-    """
-    b, n = words.shape
-    tw = params.target_vectors[words.ravel()].reshape(b, n, -1)
-    s = np.matmul(tw, qhat[:, :, None])[:, :, 0].astype(np.float64)
-    s += params.biases[words].astype(np.float64)
-    return tw, s
-
-
-def _sampled_forward(params, batch, dist, k, rng):
-    """Per-example draws and scores shared by NCE and importance sampling.
-
-    Draws k words per example from dist and scores the (b, 1 + k) word
-    matrix [target, samples]. Returns (contexts, words, qhat, gathered
-    target rows, float64 scores).
+    Draws k words from dist per example, or with share_samples one set
+    of k for the whole batch, and scores the (b, 1 + k) word matrix
+    [target, samples] in float64. Returns (contexts, words, qhat, rows,
+    scores); rows are the target rows _sampled_backward reads. Per
+    example they are the gathered (b, 1 + k, d) rows of words. Shared,
+    they are the pair (b target rows, k sample rows): one einsum scores
+    the targets and one GEMM against the k sample rows the noise words,
+    so no (b, k, d) gather is made.
     """
     contexts, targets = batch
-    samples = noise_sample(dist, rng, size=(targets.shape[0], k))
-    words = np.concatenate([targets[:, None], samples], axis=1)
+    b = targets.shape[0]
+    samples = noise_sample(dist, rng, size=k if share_samples else (b, k))
+    words = np.concatenate([targets[:, None], np.broadcast_to(samples, (b, k))], axis=1)
     qhat = predicted_representation_batch(params, contexts)
-    tw, s = _gather_scores(params, qhat, words)
-    return contexts, words, qhat, tw, s
+    if share_samples:
+        rows = params.target_vectors[targets], params.target_vectors[samples]
+        s = np.empty((b, 1 + k))
+        s[:, 0] = np.einsum("bd,bd->b", rows[0], qhat)
+        s[:, 1:] = qhat @ rows[1].T
+    else:
+        rows = params.target_vectors[words.ravel()].reshape(b, 1 + k, -1)
+        s = np.matmul(rows, qhat[:, :, None])[:, :, 0].astype(np.float64)
+    s += params.biases[words]
+    return contexts, words, qhat, rows, s
 
 
-def _sampled_backward(params, contexts, words, qhat, tw, coefs):
+def _sampled_backward(params, contexts, words, qhat, rows, coefs):
     """Gradient of sum_{b,n} coefs[b,n] * score(words[b,n] | contexts[b])
-    from the state _sampled_forward returns."""
+    from the state _sampled_forward returns.
+
+    Per example, one rank-1 row sum over the word matrix gives the
+    target-row gradients and a batched matmul the predicted-vector
+    gradient. Shared draws touch only the k sample rows, so two GEMMs
+    against them, coef_n.T @ qhat and coef_n @ sample_rows, replace the
+    per-example work on the noise columns and keep the cost flat in k;
+    the target and sample rows then go into one row sum.
+    """
     dtype = params.dtype
-    tids, tgrads = _rank1_rowsum(words, coefs, qhat)
+    if isinstance(rows, tuple):
+        target_rows, sample_rows = rows
+        coef_n = coefs[:, 1:].astype(dtype)
+        tids, tgrads = _rank1_rowsum(
+            np.concatenate([words[:, :1], words[:1, 1:].T]),
+            np.concatenate([coefs[:, :1], np.ones((sample_rows.shape[0], 1))]),
+            np.concatenate([qhat, coef_n.T @ qhat]),
+        )
+        g_qhat = coefs[:, 0].astype(dtype)[:, None] * target_rows
+        g_qhat += coef_n @ sample_rows
+    else:
+        tids, tgrads = _rank1_rowsum(words, coefs, qhat)
+        g_qhat = np.matmul(coefs.astype(dtype)[:, None, :], rows)[:, 0, :]
     bias_dense = np.bincount(
         words.ravel(), weights=coefs.ravel(), minlength=params.vocab_size
     )
     bias_grads = bias_dense[tids].astype(dtype)
-    g_qhat = np.matmul(coefs.astype(dtype)[:, None, :], tw)[:, 0, :]
     cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
     return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads)
 
@@ -288,21 +299,21 @@ def nce_gradient_and_objective(
     the entry ids that give the stored normalizers also group the
     normalizer gradient.
     """
-    if share_samples:
-        forward, backward = _nce_shared_forward, _nce_shared_backward
-    else:
-        forward, backward = _nce_forward, _nce_backward
-    objective, state = forward(params, normalizers, batch, noise, k, rng)
-    return backward(params, *state), objective
+    objective, state = _nce_forward(
+        params, normalizers, batch, noise, k, rng, share_samples
+    )
+    return _nce_backward(params, *state), objective
 
 
-def _nce_forward(params, normalizers, batch, noise, k, rng):
-    """Draws, scores and log-ratios of per-example NCE.
+def _nce_forward(params, normalizers, batch, noise, k, rng, share_samples):
+    """Draws, scores and log-ratios of NCE in either draw layout.
 
     Returns the objective and the state _nce_backward takes; column 0
     of the logistic log-ratio matrix z is the data term.
     """
-    contexts, words, qhat, tw, s = _sampled_forward(params, batch, noise, k, rng)
+    contexts, words, qhat, rows, s = _sampled_forward(
+        params, batch, noise, k, rng, share_samples
+    )
     log_pn = noise.log_probs[words]
     _check_target_support(words[:, 0], log_pn[:, 0])
     norm_ids = None
@@ -313,17 +324,17 @@ def _nce_forward(params, normalizers, batch, noise, k, rng):
     z = (np.log(k) + log_pn) - s
     objective = float(log_expit(-z[:, 0]).sum() + log_expit(z[:, 1:]).sum())
     coefs = expit(z)
-    return objective, (contexts, words, qhat, tw, coefs, norm_ids)
+    return objective, (contexts, words, qhat, rows, coefs, norm_ids)
 
 
-def _nce_backward(params, contexts, words, qhat, tw, coefs, norm_ids):
+def _nce_backward(params, contexts, words, qhat, rows, coefs, norm_ids):
     """coefs is expit of the forward's log-ratio matrix; updated in place."""
     coefs[:, 1:] -= 1.0  # noise columns carry weight -P/(P + k*Pn)
     # Bounded whenever the scores are; non-finite scores fall through to
     # the divergence check at update time.
     assert np.all(np.abs(coefs[np.isfinite(coefs)]) <= 1.0)
 
-    grad = _sampled_backward(params, contexts, words, qhat, tw, coefs)
+    grad = _sampled_backward(params, contexts, words, qhat, rows, coefs)
     grad.normalizer_grads = _normalizer_residuals(norm_ids, coefs.sum(1))
     return grad
 
@@ -336,73 +347,6 @@ def _normalizer_residuals(norm_ids, per_example):
         return _no_normalizer_grads()
     ids, inverse = np.unique(norm_ids, return_inverse=True)
     return ids, np.bincount(inverse, weights=per_example)
-
-
-def _nce_shared_forward(params, normalizers, batch, noise, k, rng):
-    """NCE with one set of k noise samples for the whole batch.
-
-    Sharing turns the per-example score/gradient work for the noise
-    words into dense matrix products against the k sampled rows, so the
-    update cost is nearly independent of k. Returns the objective and
-    the state _nce_shared_backward takes.
-    """
-    contexts, targets = batch
-    samples = noise_sample(noise, rng, size=k)
-    log_pn_t = noise.log_probs[targets]
-    _check_target_support(targets, log_pn_t)
-
-    qhat = predicted_representation_batch(params, contexts)
-    tq = params.target_vectors[targets]
-    sample_vecs = params.target_vectors[samples]
-    s_t = np.einsum("bd,bd->b", tq, qhat).astype(np.float64)
-    s_t += params.biases[targets].astype(np.float64)
-    s_n = (qhat @ sample_vecs.T).astype(np.float64)
-    s_n += params.biases[samples].astype(np.float64)
-    norm_ids = None
-    if normalizers.mode == "per-context":
-        norm_ids = normalizers.register(contexts)
-        shift = normalizers.values[norm_ids]
-        s_t += shift
-        s_n += shift[:, None]
-    z_t = (np.log(k) + log_pn_t) - s_t
-    z_n = (np.log(k) + noise.log_probs[samples])[None, :] - s_n
-    objective = float(log_expit(-z_t).sum() + log_expit(z_n).sum())
-    coef_t, coef_n = expit(z_t), expit(z_n)
-    state = (contexts, targets, samples, qhat, tq, sample_vecs, coef_t, coef_n, norm_ids)
-    return objective, state
-
-
-def _nce_shared_backward(
-    params, contexts, targets, samples, qhat, tq, sample_vecs, coef_t, coef_n, norm_ids
-):
-    coef_n -= 1.0
-    assert np.all(coef_t[np.isfinite(coef_t)] <= 1.0)
-    assert np.all(np.abs(coef_n[np.isfinite(coef_n)]) <= 1.0)
-
-    dtype = params.dtype
-    # Noise-side gradients touch only the k sampled rows: one GEMM
-    # against the batch's predicted vectors covers all of them.
-    sample_mat = coef_n.T.astype(dtype) @ qhat
-    sids, sgrads = _rank1_rowsum(
-        samples[:, None], np.ones((samples.size, 1)), sample_mat
-    )
-    tids_t, tgrads_t = _rank1_rowsum(targets[:, None], coef_t[:, None], qhat)
-    tids, tgrads = _merge_rows(tids_t, tgrads_t, sids, sgrads)
-
-    bias_dense = np.bincount(
-        targets, weights=coef_t, minlength=params.vocab_size
-    )
-    bias_dense += np.bincount(
-        samples, weights=coef_n.sum(axis=0), minlength=params.vocab_size
-    )
-    bias_grads = bias_dense[tids].astype(dtype)
-
-    g_qhat = coef_t.astype(dtype)[:, None] * tq
-    g_qhat += coef_n.astype(dtype) @ sample_vecs
-    cids, cgrads, trgrads = _context_side(params, contexts, g_qhat)
-
-    norm_grads = _normalizer_residuals(norm_ids, coef_t + coef_n.sum(axis=1))
-    return Gradient(cids, cgrads, tids, tgrads, trgrads, bias_grads, norm_grads)
 
 
 def nce_objective(
@@ -422,8 +366,7 @@ def nce_objective(
     reproduces the draws of nce_gradient_and_objective, which is what
     the finite-difference gradient checks rely on.
     """
-    forward = _nce_shared_forward if share_samples else _nce_forward
-    return forward(params, normalizers, batch, noise, k, rng)[0]
+    return _nce_forward(params, normalizers, batch, noise, k, rng, share_samples)[0]
 
 
 def _enumerated_gradient(params, normalizers, context, coefs, norm_grad):
@@ -532,14 +475,7 @@ def _is_backward(params, contexts, words, qhat, tw, log_v, log_total):
     log_w = log_v - log_total[:, None]
     w_norm = np.exp(log_w)
     ess = 1.0 / np.sum(w_norm * w_norm, axis=1)
-    with np.errstate(over="ignore"):
-        # The raw weight total can overflow float64; the stat keeps inf.
-        mean_sum = float(np.exp(log_total).mean())
-    stats = IsStats(
-        sum_weights=mean_sum,
-        ess=float(ess.mean()),
-        max_weight_fraction=float(w_norm.max()),
-    )
+    stats = IsStats(ess=float(ess.mean()), max_weight_fraction=float(w_norm.max()))
 
     coefs = np.concatenate([np.ones((b, 1)), -w_norm], axis=1)
     return _sampled_backward(params, contexts, words, qhat, tw, coefs), stats

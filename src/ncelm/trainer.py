@@ -146,10 +146,6 @@ class TrainHistory:
     def valid_ppls(self) -> list[float]:
         return [rec.valid_ppl for rec in self.records]
 
-    @property
-    def objectives(self) -> list[float]:
-        return [rec.objective for rec in self.records]
-
 
 def update_learning_rate(lr: float, prev_valid_ppl: float, curr_valid_ppl: float) -> float:
     """Halve the rate when validation perplexity increased, else keep it.

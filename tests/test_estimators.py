@@ -295,7 +295,6 @@ def test_is_stats_are_simplex_weights():
     )
     assert 0.0 < stats.max_weight_fraction <= 1.0
     assert 1.0 <= stats.ess <= k
-    assert stats.sum_weights > 0.0
     assert [a.size for a in grad.normalizer_grads] == [0, 0]
 
 
@@ -401,11 +400,15 @@ def test_shared_and_per_example_draws_agree_on_one_draw(monkeypatch, normalizer_
     # When every example draws the same k noise words, per-example NCE
     # and shared-draw NCE compute the same estimator.
     k = 5
-    for seed in range(6):
+    for seed in range(7):
         params, normalizers, batch, noise, norm_ids = random_instance(
             seed, batch_size=6, normalizer_mode=normalizer_mode
         )
         drawn = np.random.default_rng(seed).integers(0, params.vocab_size, size=k)
+        if seed == 6:
+            # A batch target sampled twice: shared draws sum its target
+            # row and both sample rows in one table, in another order.
+            drawn[1:3] = batch[1][0]
         monkeypatch.setattr(
             estimators, "noise_sample", lambda dist, rng, size: np.broadcast_to(drawn, size)
         )

@@ -45,7 +45,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit, logsumexp
 
-from .errors import DegenerateWeightsError, DivergenceError, SupportError
+from .errors import ConfigError, DegenerateWeightsError, DivergenceError, SupportError
 from .evaluation import _target_log_probs
 from .model import (
     LblParams,
@@ -108,6 +108,15 @@ class IsStats:
     max_weight_fraction: float
 
 
+def _nonempty(batch):
+    """The (contexts, targets) arrays of a batch; ConfigError when it has
+    no rows, so no estimator fails inside numpy on an empty batch."""
+    contexts, targets = batch
+    if len(targets) == 0:
+        raise ConfigError("empty batch: an estimator needs at least one (context, target) row")
+    return contexts, targets
+
+
 def _rank1_rowsum(words: np.ndarray, coefs: np.ndarray, vecs: np.ndarray):
     """Row sums of coef[b,n] * vecs[b] grouped by words[b,n]; returns
     (sorted unique words, sums).
@@ -116,9 +125,19 @@ def _rank1_rowsum(words: np.ndarray, coefs: np.ndarray, vecs: np.ndarray):
     sparse coefficient matrix and multiplies it by the (batch x d) vec
     matrix, never materializing the (batch * n, d) intermediate. With
     n = 1 and unit coefficients it sums the rows that share an id.
+
+    The ids are grouped without a sort: a bincount marks the ids that
+    occur, and a scratch row_of array of size largest id + 1 maps each
+    to its row. That is the sorted ids and inverse np.unique would
+    give, so the sparse product sums in the same order.
     """
     b, n = words.shape
-    uids, inv = np.unique(words.ravel(), return_inverse=True)
+    flat = words.ravel()
+    present = np.bincount(flat)
+    uids = np.flatnonzero(present)
+    row_of = np.empty(present.size, dtype=np.intp)
+    row_of[uids] = np.arange(uids.size)
+    inv = row_of[flat]
     cols = np.repeat(np.arange(b), n)
     w = sparse.csr_matrix(
         (coefs.ravel().astype(vecs.dtype), (inv, cols)), shape=(uids.size, b)
@@ -157,7 +176,7 @@ def _sampled_forward(params, batch, dist, k, rng, share_samples=False):
     the targets and one GEMM against the k sample rows the noise words,
     so no (b, k, d) gather is made.
     """
-    contexts, targets = batch
+    contexts, targets = _nonempty(batch)
     b = targets.shape[0]
     samples = noise_sample(dist, rng, size=k if share_samples else (b, k))
     words = np.concatenate([targets[:, None], np.broadcast_to(samples, (b, k))], axis=1)
@@ -225,7 +244,7 @@ def ml_gradient_and_objective(
     [target_vectors, biases] and the (d+1, V) expected per-word sums of
     [qhat, 1].
     """
-    contexts, targets = batch
+    contexts, targets = _nonempty(batch)
     b = targets.shape[0]
     d = params.dim
     q1 = np.ones((b, d + 1))

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import sparse
 from scipy.special import log_expit
 
 from ncelm import estimators
@@ -12,7 +16,7 @@ from ncelm.diagnostics import (
     nce_limit_gaps,
     random_instance,
 )
-from ncelm.errors import DegenerateWeightsError, SupportError
+from ncelm.errors import ConfigError, DegenerateWeightsError, SupportError
 from ncelm.estimators import (
     Gradient,
     exact_nce_gradient,
@@ -463,3 +467,63 @@ def test_per_context_nce_gradient_searches_the_store_once(monkeypatch):
             np.random.default_rng(0), share_samples=share,
         )
         assert calls == [len(batch[1])], share
+
+
+@pytest.mark.parametrize("estimator", ["ml", "nce", "nce-shared", "is"])
+def test_an_empty_batch_raises_config_error(estimator):
+    params, normalizers, (contexts, targets), noise, _ = random_instance(1)
+    empty = (contexts[:0], targets[:0])
+    rng = np.random.default_rng(0)
+    calls = {
+        "ml": lambda: ml_gradient_and_objective(params, normalizers, empty),
+        "nce": lambda: nce_gradient_and_objective(params, normalizers, empty, noise, 3, rng),
+        "nce-shared": lambda: nce_gradient_and_objective(
+            params, normalizers, empty, noise, 3, rng, share_samples=True
+        ),
+        "is": lambda: is_gradient_and_objective(params, normalizers, empty, noise, 3, rng),
+    }
+    with pytest.raises(ConfigError, match="empty batch"):
+        calls[estimator]()
+
+
+def _unique_rowsum(words, coefs, vecs):
+    """The row sum as np.unique grouped it before the bincount form."""
+    b, n = words.shape
+    uids, inv = np.unique(words.ravel(), return_inverse=True)
+    cols = np.repeat(np.arange(b), n)
+    w = sparse.csr_matrix(
+        (coefs.ravel().astype(vecs.dtype), (inv, cols)), shape=(uids.size, b)
+    )
+    return uids, w @ vecs
+
+
+@st.composite
+def _rowsum_inputs(draw):
+    """(words, coefs, vecs): gapped ids from 0 up to a large one, drawn
+    from few values so that ids repeat within and across rows; n = 1
+    with unit coefficients is the context side's call."""
+    b, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    context_side = draw(st.booleans())
+    n = 1 if context_side else draw(st.integers(1, 5))
+    words = draw(arrays(np.int64, (b, n), elements=st.sampled_from([0, 1, 3, 4, 17, 250, 70_001])))
+    coefs = np.ones((b, 1)) if context_side else draw(
+        arrays(np.float64, (b, n), elements=st.floats(-1.0, 1.0))
+    )
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    vecs = draw(arrays(dtype, (b, d), elements=st.floats(-100.0, 100.0, width=32)))
+    return words, coefs, vecs
+
+
+_TARGET_SAMPLED_TWICE = np.array([[3, 0, 3, 3], [70_001, 3, 17, 0]])
+
+
+@settings(deadline=None)
+@given(_rowsum_inputs())
+@example((np.array([[5], [0], [5], [12_345]]), np.ones((4, 1)), np.arange(8.0).reshape(4, 2)))
+@example((_TARGET_SAMPLED_TWICE, np.linspace(-1, 1, 8).reshape(2, 4), np.ones((2, 3), np.float32)))
+def test_rank1_rowsum_matches_the_unique_formulation_byte_for_byte(inputs):
+    ids, sums = estimators._rank1_rowsum(*inputs)
+    want_ids, want_sums = _unique_rowsum(*inputs)
+    assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+    assert sums.dtype == want_sums.dtype and sums.shape == want_sums.shape
+    assert sums.tobytes() == want_sums.tobytes()

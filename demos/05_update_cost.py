@@ -9,10 +9,10 @@ drawn per example and, alternatively, shared across the minibatch.
 
 import numpy as np
 
+from ncelm.diagnostics import benchmark_update
 from ncelm.evaluation import predicted_speedup
 from ncelm.model import init_params
 from ncelm.noise import uniform
-from ncelm.trainer import benchmark_update
 
 # The headline predictions at vocabulary 10,000, dimension 100, two
 # context positions, 25 noise samples.

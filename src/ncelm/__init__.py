@@ -28,6 +28,7 @@ from .corpus import (
     tokenize_line,
     unigram_counts,
 )
+from .diagnostics import benchmark_update
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -69,7 +70,6 @@ from .noise import NoiseDistribution, from_counts, sample, uniform
 from .trainer import (
     TrainConfig,
     TrainHistory,
-    benchmark_update,
     sgd_step,
     train,
     update_learning_rate,

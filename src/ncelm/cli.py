@@ -13,8 +13,6 @@ import argparse
 import sys
 from dataclasses import fields as dataclass_fields
 
-import numpy as np
-
 from . import __version__
 from .corpus import (
     BOUNDARY_MODES,
@@ -57,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         choices=(32, 64),
         default=32,
-        help="parameter storage bits",
+        help="parameter storage bits while training",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -141,10 +139,8 @@ def _read_corpus(paths, lowercase: bool):
 def _load_dataset(paths, vocab, context_size, boundary, bidirectional, lowercase):
     sentences = [encode(vocab, s) for s in _read_corpus(paths, lowercase)]
     if bidirectional:
-        return extract_bidirectional_pairs(
-            sentences, two_sided_half(context_size), vocab.oos_id
-        )
-    return extract_pairs(sentences, context_size, boundary, vocab.oos_id)
+        return extract_bidirectional_pairs(sentences, two_sided_half(context_size))
+    return extract_pairs(sentences, context_size, boundary)
 
 
 def _cmd_build_vocab(args) -> int:
@@ -231,9 +227,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ppl(args) -> int:
-    params, _ = load_checkpoint(
-        args.checkpoint, dtype=np.float64 if args.precision == 64 else np.float32
-    )
+    params, _ = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
     dataset = _load_dataset(
         args.corpus, vocab, params.context_size, args.boundary,
@@ -245,9 +239,7 @@ def _cmd_ppl(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    params, _ = load_checkpoint(
-        args.checkpoint, dtype=np.float64 if args.precision == 64 else np.float32
-    )
+    params, _ = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
     problems = read_completion_problems(
         args.problems, vocab, lowercase=not args.keep_case

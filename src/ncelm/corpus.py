@@ -38,21 +38,17 @@ class Vocabulary:
     """Dense word-id mapping with per-id corpus frequencies.
 
     words[i] is the surface string of id i; counts[i] its training-corpus
-    frequency. unk_id and oos_id name the two reserved entries.
+    frequency. Ids UNK_ID and OOS_ID are the two reserved entries.
     """
 
     words: list[str]
     counts: np.ndarray
-    unk_id: int = UNK_ID
-    oos_id: int = OOS_ID
     _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if len(self.words) != self.counts.shape[0]:
             raise ConfigError("words and counts length mismatch")
-        if self.unk_id == self.oos_id:
-            raise ConfigError("unk_id and oos_id must be distinct")
         self._index = {w: i for i, w in enumerate(self.words)}
         if len(self._index) != len(self.words):
             raise ConfigError("duplicate surface strings in vocabulary")
@@ -61,11 +57,8 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.words)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def id_of(self, token: str) -> int:
-        return self._index.get(token, self.unk_id)
+        return self._index.get(token, UNK_ID)
 
 
 @dataclass
@@ -171,14 +164,13 @@ def build_vocab(
 
 
 def encode(vocab: Vocabulary, tokens: Iterable[str]) -> list[int]:
-    """Map tokens to word ids; out-of-vocabulary tokens map to unk_id."""
+    """Map tokens to word ids; out-of-vocabulary tokens map to UNK_ID."""
     get = vocab._index.get
-    unk = vocab.unk_id
-    return [get(t, unk) for t in tokens]
+    return [get(t, UNK_ID) for t in tokens]
 
 
-def context_windows(words, lengths, sentence_of, centers, offsets, oos_id=OOS_ID):
-    """Ids at centers + offsets within each row's sentence, oos_id past
+def context_windows(words, lengths, sentence_of, centers, offsets):
+    """Ids at centers + offsets within each row's sentence, OOS_ID past
     either edge of it.
 
     words holds the sentences end to end and lengths their sizes; row r
@@ -189,7 +181,7 @@ def context_windows(words, lengths, sentence_of, centers, offsets, oos_id=OOS_ID
     inside = (positions >= 0) & (positions < lengths[sentence_of][:, None])
     positions += (np.cumsum(lengths) - lengths)[sentence_of][:, None]
     window = words.take(positions, mode="clip")
-    window[~inside] = oos_id
+    window[~inside] = OOS_ID
     return window
 
 
@@ -208,26 +200,25 @@ def two_sided_offsets(half: int) -> np.ndarray:
     return np.r_[-half:0, 1 : half + 1]
 
 
-def _every_token(sentences, offsets, oos_id) -> tuple[np.ndarray, np.ndarray]:
+def _every_token(sentences, offsets) -> tuple[np.ndarray, np.ndarray]:
     """The window at offsets around every token of every sentence, and
     the tokens themselves."""
     lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
     words = np.fromiter(chain.from_iterable(sentences), np.int64, lengths.sum())
     sentence_of = np.repeat(np.arange(lengths.size), lengths)
     centers = np.arange(words.size) - (np.cumsum(lengths) - lengths)[sentence_of]
-    return context_windows(words, lengths, sentence_of, centers, offsets, oos_id), words
+    return context_windows(words, lengths, sentence_of, centers, offsets), words
 
 
 def extract_pairs(
     sentences: Sequence[Sequence[int]],
     context_size: int,
     boundary_mode: str = "oos-padding",
-    oos_id: int = OOS_ID,
 ) -> Dataset:
     """Turn encoded sentences into (context, target) training examples.
 
     In oos-padding mode every token of every sentence becomes a target,
-    with contexts left-padded by oos_id where the sentence starts. In
+    with contexts left-padded by OOS_ID where the sentence starts. In
     stream mode sentences are concatenated and only positions with a
     full in-stream context yield examples.
     """
@@ -237,12 +228,12 @@ def extract_pairs(
         raise ConfigError(f"unknown boundary_mode {boundary_mode!r}")
     offsets = np.arange(-context_size, 0)
     if boundary_mode == "oos-padding":
-        contexts, targets = _every_token(sentences, offsets, oos_id)
+        contexts, targets = _every_token(sentences, offsets)
     else:
         # One sentence spanning the corpus, less the first context_size
         # tokens, whose contexts would reach past its start.
         stream = [np.fromiter(chain.from_iterable(sentences), np.int64)]
-        contexts, targets = _every_token(stream, offsets, oos_id)
+        contexts, targets = _every_token(stream, offsets)
         contexts, targets = contexts[context_size:], targets[context_size:]
     return Dataset(contexts, targets, context_size, boundary_mode)
 
@@ -250,18 +241,30 @@ def extract_pairs(
 def extract_bidirectional_pairs(
     sentences: Sequence[Sequence[int]],
     half_context: int,
-    oos_id: int = OOS_ID,
 ) -> Dataset:
     """Extract examples whose context surrounds the target on both sides.
 
     The context layout is [half_context preceding ids, half_context
-    following ids], each side padded with oos_id past the sentence edge,
+    following ids], each side padded with OOS_ID past the sentence edge,
     giving a total context size of 2 * half_context.
     """
     if half_context < 1:
         raise ConfigError(f"half_context must be >= 1, got {half_context}")
-    contexts, targets = _every_token(sentences, two_sided_offsets(half_context), oos_id)
+    contexts, targets = _every_token(sentences, two_sided_offsets(half_context))
     return Dataset(contexts, targets, 2 * half_context, "oos-padding")
+
+
+def out_of_range_id(vocab_size: int, *id_arrays: np.ndarray) -> int | None:
+    """An id of id_arrays outside [0, vocab_size): the smallest when one
+    is negative, else the largest. None when every id is inside."""
+    filled = [ids for ids in id_arrays if ids.size]
+    if not filled:
+        return None
+    smallest = min(ids.min() for ids in filled)
+    largest = max(ids.max() for ids in filled)
+    if smallest < 0:
+        return int(smallest)
+    return int(largest) if largest >= vocab_size else None
 
 
 def unigram_counts(source, vocab: Vocabulary) -> np.ndarray:
@@ -270,7 +273,7 @@ def unigram_counts(source, vocab: Vocabulary) -> np.ndarray:
         ids = source.targets
     else:
         ids = np.fromiter((int(i) for i in source), dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
+    if out_of_range_id(vocab.size, ids) is not None:
         raise ConfigError("id out of vocabulary range")
     return np.bincount(ids, minlength=vocab.size).astype(np.int64)
 

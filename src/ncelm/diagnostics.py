@@ -1,6 +1,6 @@
 """Numerical health checks: finite-difference gradient verification,
-the large-k agreement between contrastive and ML gradients, the
-importance-sampling instability probe, and the update-cost predictions.
+the large-k agreement between contrastive and ML gradients, the IS
+instability probe, and the update cost, predicted and timed.
 
 These run at desk scale (tiny vocabularies, float64) in seconds and are
 shared by the test suite and the diagnose command. Finite differences
@@ -9,6 +9,8 @@ flatten_gradient's layout; gradient_check runs one table of estimators.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 from scipy.special import logsumexp
@@ -21,13 +23,14 @@ from .estimators import (
     expected_ml_gradient,
 )
 from .model import LblParams, NormalizerStore, init_params, scores_all
-from .noise import from_counts
-from .trainer import TrainConfig, train
+from .noise import NoiseDistribution, from_counts, uniform
+from .trainer import TrainConfig, _batch_gradient, sgd_step, train
 from .corpus import extract_pairs
 from .synthetic import make_vocab
 from .evaluation import predicted_speedup
 
 FD_STEP = 1e-5
+NCE_LIMIT_K_GRID = (1, 10, 100, 1000, 10_000)
 
 
 def flatten_gradient(
@@ -55,7 +58,6 @@ def finite_difference_gradient(
     params: LblParams,
     normalizers: NormalizerStore | None = None,
     norm_ids=(),
-    step: float = FD_STEP,
 ) -> np.ndarray:
     """Central differences of objective_fn over every parameter and the
     normalizer entries with the given entry ids, in flatten_gradient's
@@ -73,12 +75,12 @@ def finite_difference_gradient(
     store = normalizers.copy()
 
     def central(write, base):
-        write(base + step)
+        write(base + FD_STEP)
         plus = objective_fn(work, store)
-        write(base - step)
+        write(base - FD_STEP)
         minus = objective_fn(work, store)
         write(base)
-        return (plus - minus) / (2.0 * step)
+        return (plus - minus) / (2.0 * FD_STEP)
 
     grad = []
     for tensor in work.tensors().values():
@@ -147,15 +149,13 @@ def random_instance(
     return params, normalizers, (contexts, targets), noise, norm_ids
 
 
-def gradient_check(
-    seed: int = 0, batch_size: int = 4, k: int = 3, step: float = FD_STEP
-) -> dict[str, float]:
+def gradient_check(seed: int = 0) -> dict[str, float]:
     """Max relative error of each estimator's gradient against central
-    finite differences of its own objective, samples frozen by replaying
-    one rng seed. Includes the per-context normalizer coordinates."""
-    params, normalizers, batch, noise, norm_ids = random_instance(
-        seed, batch_size=batch_size
-    )
+    finite differences of its own objective, on random_instance(seed)
+    with k=3 noise samples, frozen by replaying one rng seed. Includes
+    the per-context normalizer coordinates."""
+    params, normalizers, batch, noise, norm_ids = random_instance(seed)
+    k = 3
     draw_seed = np.random.SeedSequence([seed, 77]).generate_state(1)[0]
 
     def draws():
@@ -182,15 +182,15 @@ def gradient_check(
     return {
         label: max_relative_error(
             flatten_gradient(gradient_fn(params, normalizers), params, norm_ids),
-            finite_difference_gradient(objective_fn, params, normalizers, norm_ids, step),
+            finite_difference_gradient(objective_fn, params, normalizers, norm_ids),
         )
         for label, gradient_fn, objective_fn in checks
     }
 
 
-def nce_limit_gaps(seed: int = 0, k_grid=(1, 10, 100, 1000, 10_000)):
+def nce_limit_gaps(seed: int = 0):
     """Relative gap between the contrastive expected gradient and the ML
-    expected gradient as the noise multiple k grows.
+    expected gradient as the noise multiple k grows over NCE_LIMIT_K_GRID.
 
     The instance stores the exact negative log partition function as its
     per-context normalizer, so the unnormalized model is in fact
@@ -213,27 +213,18 @@ def nce_limit_gaps(seed: int = 0, k_grid=(1, 10, 100, 1000, 10_000)):
     )
     ml_norm = float(np.linalg.norm(ml_vec))
     gaps = []
-    for k in k_grid:
+    for k in NCE_LIMIT_K_GRID:
         vec = flatten_gradient(
             exact_nce_gradient(params, normalizers, data_dist, context, noise, k),
             params, ids,
         )
         gaps.append(float(np.linalg.norm(vec - ml_vec)) / ml_norm)
-    return list(k_grid), gaps
+    return list(NCE_LIMIT_K_GRID), gaps
 
 
-def importance_stability_probe(
-    seed: int = 0,
-    vocab_size: int = 60,
-    dim: int = 8,
-    context_size: int = 2,
-    k: int = 5,
-    max_epochs: int = 20,
-    learning_rate: float = 0.02,
-    minibatch_size: int = 50,
-    weight_penalty: float = 1e-4,
-) -> dict:
-    """Train the same mismatched instance with IS and with NCE.
+def importance_stability_probe(seed: int = 0) -> dict:
+    """Train the same mismatched instance with IS and with NCE, at V=60,
+    d=8, c=2, k=5, for at most 20 epochs.
 
     The instance is adversarial for importance sampling: the initial
     model piles probability onto one word while the proposal is uniform,
@@ -246,6 +237,7 @@ def importance_stability_probe(
     """
     from .synthetic import generate_sentences, make_truth_params
 
+    vocab_size, dim, context_size, k, max_epochs = 60, 8, 2, 5, 20
     rng = np.random.default_rng(seed)
     truth = make_truth_params(
         vocab_size, dim, context_size, seed=seed + 5, feature_scale=0.3
@@ -266,13 +258,12 @@ def importance_stability_probe(
     base = dict(
         k=k,
         noise_kind="uniform",
-        minibatch_size=minibatch_size,
-        initial_lr=learning_rate,
+        minibatch_size=50,
+        initial_lr=0.02,
         max_epochs=max_epochs,
-        weight_penalty=weight_penalty,
+        weight_penalty=1e-4,
         seed=seed,
         dim=dim,
-        warm_start_bias=False,
     )
     try:
         # The hostile run is expected to overflow float32 on its way
@@ -314,6 +305,47 @@ def importance_stability_probe(
     )
     result["is_unstable"] = triggered
     return result
+
+
+def benchmark_update(
+    params: LblParams,
+    estimator: str,
+    k: int,
+    batch,
+    noise: NoiseDistribution | None = None,
+    share_noise_samples: bool = False,
+) -> float:
+    """Median wall-clock seconds of 25 full gradient-plus-step updates of
+    the training loop, after 3 untimed ones.
+
+    Runs on a scratch copy of the parameters with a vanishing learning
+    rate so repeated updates measure steady-state cost, not drift.
+    """
+    scratch = params.copy()
+    normalizers = NormalizerStore(mode="fixed-one")
+    if noise is None and estimator != "ml":
+        noise = uniform(params.vocab_size)
+    config = TrainConfig(
+        estimator=estimator,
+        k=max(k, 1),
+        dim=params.dim,
+        share_noise_samples=share_noise_samples,
+    )
+    rng = np.random.default_rng(0)
+    lr = 1e-12
+
+    def one_update():
+        grad, _, _ = _batch_gradient(config, scratch, normalizers, batch, noise, k, rng)
+        sgd_step(scratch, normalizers, grad, lr, 0.0)
+
+    for _ in range(3):
+        one_update()
+    timings = []
+    for _ in range(25):
+        t0 = time.perf_counter()
+        one_update()
+        timings.append(time.perf_counter() - t0)
+    return float(np.median(timings))
 
 
 def run_diagnostic(name: str, seed: int = 0) -> tuple[dict, bool]:

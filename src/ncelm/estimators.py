@@ -293,7 +293,7 @@ def _check_target_support(targets, log_pn_targets):
 
 def ml_objective(params: LblParams, normalizers: NormalizerStore, batch) -> float:
     """Exact batch log-likelihood under explicit normalization."""
-    contexts, targets = batch
+    contexts, targets = _nonempty(batch)
     return float(_target_log_probs(params, contexts, targets).sum())
 
 

@@ -28,11 +28,12 @@ from itertools import chain
 import numpy as np
 
 from .corpus import (
-    OOS_ID,
+    UNK_ID,
     Dataset,
     Vocabulary,
     context_windows,
     encode,
+    out_of_range_id,
     tokenize_line,
     two_sided_half,
     two_sided_offsets,
@@ -59,15 +60,12 @@ def _target_log_probs(
     """
     n = targets.shape[0]
     v = params.vocab_size
-    if n:
-        smallest = min(contexts.min(), targets.min())
-        largest = max(contexts.max(), targets.max())
-        if smallest < 0 or largest >= v:
-            raise ConfigError(
-                f"word id {smallest if smallest < 0 else largest} is outside "
-                f"the model's vocabulary of size {v}; the vocabulary may "
-                "come from another run"
-            )
+    bad = out_of_range_id(v, contexts, targets)
+    if bad is not None:
+        raise ConfigError(
+            f"word id {bad} is outside the model's vocabulary of size {v}; "
+            "the vocabulary may come from another run"
+        )
     if params.target_vectors.dtype != np.float64 or params.biases.dtype != np.float64:
         # Convert the two V-row tensors once here, not once per chunk.
         params = replace(
@@ -161,9 +159,7 @@ def _candidate_totals(
         chain.from_iterable(p.sentence for p in problems), np.int64, lengths.sum()
     )
     offsets = two_sided_offsets(width) if mode == "bi" else np.arange(-width, width + 1)
-    window = context_windows(
-        words, lengths, np.arange(n_problems), blanks, offsets, OOS_ID
-    )
+    window = context_windows(words, lengths, np.arange(n_problems), blanks, offsets)
     if mode == "bi":
         contexts = np.repeat(window, n_candidates, axis=0)
         targets = candidates.ravel()
@@ -238,7 +234,7 @@ def read_completion_problems(
                     f"found {len(blanks)}"
                 )
             blank = blanks[0]
-            tokens[blank] = vocab.words[vocab.unk_id]
+            tokens[blank] = vocab.words[UNK_ID]
             sentence = encode(vocab, tokens)
             cand_tokens = parts[1].split("|")
             if lowercase:

@@ -418,8 +418,8 @@ def save_checkpoint(path, params: LblParams, normalizers: NormalizerStore) -> No
         raise
 
 
-def load_checkpoint(path, dtype=np.float32) -> tuple[LblParams, NormalizerStore]:
-    """Read a checkpoint written by save_checkpoint.
+def load_checkpoint(path) -> tuple[LblParams, NormalizerStore]:
+    """Read a checkpoint written by save_checkpoint, as float32 parameters.
 
     A file cut short anywhere raises CheckpointFormatError naming the
     field it ends in.
@@ -457,7 +457,7 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[LblParams, NormalizerStore]
         count = math.prod(shape)
         start = take(4 * count, what)
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        return arr.reshape(shape).astype(dtype)
+        return arr.reshape(shape).astype(np.float32)
 
     ctx = table((v, d), "context_vectors")
     tgt = table((v, d), "target_vectors")

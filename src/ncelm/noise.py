@@ -20,7 +20,6 @@ from .errors import ConfigError
 class NoiseDistribution:
     probs: np.ndarray
     log_probs: np.ndarray
-    kind: str
     alias_prob: np.ndarray
     alias_id: np.ndarray
 
@@ -60,14 +59,13 @@ def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alias_prob, alias_id
 
 
-def _finalize(probs: np.ndarray, kind: str) -> NoiseDistribution:
+def _finalize(probs: np.ndarray) -> NoiseDistribution:
     probs = np.asarray(probs, dtype=np.float64)
     with np.errstate(divide="ignore"):
         log_probs = np.log(probs)
     alias_prob, alias_id = _build_alias(probs)
     return NoiseDistribution(
-        probs=probs, log_probs=log_probs, kind=kind,
-        alias_prob=alias_prob, alias_id=alias_id,
+        probs=probs, log_probs=log_probs, alias_prob=alias_prob, alias_id=alias_id,
     )
 
 
@@ -85,14 +83,14 @@ def from_counts(counts, smoothing: float = 1.0) -> NoiseDistribution:
     total = counts.sum() + smoothing * counts.shape[0]
     if total <= 0:
         raise ConfigError("all-zero counts with zero smoothing")
-    return _finalize((counts + smoothing) / total, "unigram")
+    return _finalize((counts + smoothing) / total)
 
 
 def uniform(v: int) -> NoiseDistribution:
     """Uniform distribution over V word ids."""
     if v < 1:
         raise ConfigError(f"V must be >= 1, got {v}")
-    return _finalize(np.full(v, 1.0 / v), "uniform")
+    return _finalize(np.full(v, 1.0 / v))
 
 
 def sample(dist: NoiseDistribution, rng: np.random.Generator, size=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators
-from .corpus import Dataset, Vocabulary, unigram_counts
+from .corpus import Dataset, Vocabulary, out_of_range_id, unigram_counts
 from .errors import ConfigError, DivergenceError
 from .estimators import Gradient, update_normalizers
 from .model import (
@@ -24,7 +24,7 @@ from .model import (
     init_params,
     save_checkpoint,
 )
-from .noise import NoiseDistribution, from_counts, uniform
+from .noise import from_counts, uniform
 
 ESTIMATORS = ("ml", "nce", "is")
 NOISE_KINDS = ("unigram", "uniform")
@@ -254,6 +254,9 @@ def train(
     after it. A divergence error aborts the run and carries the most
     recent checkpoint as the recovery point.
     """
+    # Imported per call: perfbench times validation by replacing
+    # evaluation.perplexity with a wrapper, which a name bound when this
+    # module loads would bypass, so that time would read 0.
     from .evaluation import perplexity
 
     if len(train_set) == 0 or len(valid_set) == 0:
@@ -262,6 +265,21 @@ def train(
         raise ConfigError(
             "training and validation context sizes differ: "
             f"{train_set.context_size} vs {valid_set.context_size}"
+        )
+    for name, dataset in (("training", train_set), ("validation", valid_set)):
+        bad = out_of_range_id(vocab.size, dataset.contexts, dataset.targets)
+        if bad is not None:
+            raise ConfigError(
+                f"{name} set word id {bad} is outside the vocabulary of size {vocab.size}"
+            )
+    if initial_params is not None and (
+        (initial_params.vocab_size, initial_params.context_size)
+        != (vocab.size, train_set.context_size)
+    ):
+        raise ConfigError(
+            f"initial parameters cover {initial_params.vocab_size} words and "
+            f"{initial_params.context_size} context positions, but the vocabulary "
+            f"has {vocab.size} words and the datasets {train_set.context_size} positions"
         )
 
     master = np.random.SeedSequence(config.seed)
@@ -378,46 +396,3 @@ def train(
     write_checkpoint()
     return params, normalizers, history
 
-
-def benchmark_update(
-    params: LblParams,
-    estimator: str,
-    k: int,
-    batch,
-    noise: NoiseDistribution | None = None,
-    repetitions: int = 25,
-    warmup: int = 3,
-    share_noise_samples: bool = False,
-) -> float:
-    """Median wall-clock seconds for one full gradient-plus-step update.
-
-    Runs on a scratch copy of the parameters with a vanishing learning
-    rate so repeated updates measure steady-state cost, not drift.
-    """
-    if repetitions < 20:
-        raise ConfigError("benchmark needs at least 20 repetitions")
-    scratch = params.copy()
-    normalizers = NormalizerStore(mode="fixed-one")
-    if noise is None and estimator != "ml":
-        noise = uniform(params.vocab_size)
-    config = TrainConfig(
-        estimator=estimator,
-        k=max(k, 1),
-        dim=params.dim,
-        share_noise_samples=share_noise_samples,
-    )
-    rng = np.random.default_rng(0)
-    lr = 1e-12
-
-    def one_update():
-        grad, _, _ = _batch_gradient(config, scratch, normalizers, batch, noise, k, rng)
-        sgd_step(scratch, normalizers, grad, lr, 0.0)
-
-    for _ in range(warmup):
-        one_update()
-    timings = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        one_update()
-        timings.append(time.perf_counter() - t0)
-    return float(np.median(timings))

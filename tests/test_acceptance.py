@@ -20,6 +20,7 @@ import pytest
 
 from ncelm.corpus import extract_bidirectional_pairs, extract_pairs
 from ncelm.diagnostics import (
+    benchmark_update,
     gradient_check,
     importance_stability_probe,
     nce_limit_gaps,
@@ -33,7 +34,7 @@ from ncelm.synthetic import (
     generate_sentences,
     make_truth_params,
 )
-from ncelm.trainer import TrainConfig, benchmark_update, train
+from ncelm.trainer import TrainConfig, train
 
 # Lets `pytest -m "not acceptance"` run the unit suite alone; the
 # default run still collects and runs every test here.

@@ -116,7 +116,7 @@ def test_context_windows_pad_past_each_sentence_edge():
     words = np.array([5, 6, 7, 8, 9])
     window = context_windows(
         words, np.array([2, 3]), np.array([0, 1, 1]), np.array([1, 0, 2]),
-        np.array([-2, -1, 0, 1]), OOS_ID,
+        np.array([-2, -1, 0, 1]),
     )
     assert window.tolist() == [
         [OOS_ID, 5, 6, OOS_ID],
@@ -135,12 +135,12 @@ def _windows(ids, width):
     return np.lib.stride_tricks.sliding_window_view(ids, width)
 
 
-def _reference_pairs(sentences, context_size, boundary_mode="oos-padding", oos_id=OOS_ID):
+def _reference_pairs(sentences, context_size, boundary_mode="oos-padding"):
     """extract_pairs as a per-sentence loop of sliding windows."""
     ctx_blocks = []
     tgt_blocks = []
     if boundary_mode == "oos-padding":
-        pad = np.full(context_size, oos_id, dtype=np.int64)
+        pad = np.full(context_size, OOS_ID, dtype=np.int64)
         for sent in sentences:
             s = np.asarray(sent, dtype=np.int64)
             if s.size == 0:
@@ -160,11 +160,11 @@ def _reference_pairs(sentences, context_size, boundary_mode="oos-padding", oos_i
     return np.empty((0, context_size), dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
-def _reference_bidirectional_pairs(sentences, h, oos_id=OOS_ID):
+def _reference_bidirectional_pairs(sentences, h):
     """extract_bidirectional_pairs as a per-sentence loop of sliding windows."""
     ctx_blocks = []
     tgt_blocks = []
-    pad = np.full(h, oos_id, dtype=np.int64)
+    pad = np.full(h, OOS_ID, dtype=np.int64)
     for sent in sentences:
         s = np.asarray(sent, dtype=np.int64)
         if s.size == 0:
@@ -205,24 +205,19 @@ def _assert_dataset_equals(ds, contexts, targets):
     sentences=_sentences,
     context_size=st.integers(1, 5),
     boundary_mode=st.sampled_from(["oos-padding", "stream"]),
-    oos_id=st.sampled_from([OOS_ID, 7]),
 )
-def test_extract_pairs_matches_a_per_sentence_loop(
-    sentences, context_size, boundary_mode, oos_id
-):
-    ds = extract_pairs(sentences, context_size, boundary_mode, oos_id)
+def test_extract_pairs_matches_a_per_sentence_loop(sentences, context_size, boundary_mode):
+    ds = extract_pairs(sentences, context_size, boundary_mode)
     assert (ds.context_size, ds.boundary_mode) == (context_size, boundary_mode)
-    _assert_dataset_equals(
-        ds, *_reference_pairs(sentences, context_size, boundary_mode, oos_id)
-    )
+    _assert_dataset_equals(ds, *_reference_pairs(sentences, context_size, boundary_mode))
 
 
 @settings(deadline=None)
-@given(sentences=_sentences, half=st.integers(1, 3), oos_id=st.sampled_from([OOS_ID, 7]))
-def test_extract_bidirectional_pairs_matches_a_per_sentence_loop(sentences, half, oos_id):
-    ds = extract_bidirectional_pairs(sentences, half, oos_id)
+@given(sentences=_sentences, half=st.integers(1, 3))
+def test_extract_bidirectional_pairs_matches_a_per_sentence_loop(sentences, half):
+    ds = extract_bidirectional_pairs(sentences, half)
     assert (ds.context_size, ds.boundary_mode) == (2 * half, "oos-padding")
-    _assert_dataset_equals(ds, *_reference_bidirectional_pairs(sentences, half, oos_id))
+    _assert_dataset_equals(ds, *_reference_bidirectional_pairs(sentences, half))
 
 
 def test_unigram_counts_from_dataset_and_stream():

@@ -8,7 +8,6 @@ from scipy.special import log_expit
 
 from ncelm import estimators
 from ncelm.diagnostics import (
-    FD_STEP,
     finite_difference_gradient,
     flatten_gradient,
     gradient_check,
@@ -21,6 +20,7 @@ from ncelm.estimators import (
     Gradient,
     exact_nce_gradient,
     is_gradient_and_objective,
+    is_objective,
     ml_gradient_and_objective,
     ml_objective,
     nce_gradient_and_objective,
@@ -175,7 +175,7 @@ def _exact_nce_objective(params, normalizers, data_dist, context, noise, k):
     )
 
 
-def _exact_oracle_check(seed: int = 0, k: int = 7, step: float = FD_STEP) -> float:
+def _exact_oracle_check(seed: int = 0, k: int = 7) -> float:
     """Finite-difference check of the enumeration oracle itself."""
     params, normalizers, batch, noise, norm_ids = random_instance(seed)
     rng = np.random.default_rng(seed + 1)
@@ -185,7 +185,7 @@ def _exact_oracle_check(seed: int = 0, k: int = 7, step: float = FD_STEP) -> flo
     grad = exact_nce_gradient(params, normalizers, data_dist, context, noise, k)
     fd = finite_difference_gradient(
         lambda p, nm: _exact_nce_objective(p, nm, data_dist, context, noise, k),
-        params, normalizers, ids, step,
+        params, normalizers, ids,
     )
     return max_relative_error(flatten_gradient(grad, params, ids), fd)
 
@@ -250,8 +250,8 @@ def test_nce_monte_carlo_mean_matches_enumeration():
 
 
 def test_nce_limit_gaps_shrink_toward_ml():
-    grid, gaps = nce_limit_gaps(0, k_grid=(1, 10, 100))
-    assert grid == [1, 10, 100]
+    grid, gaps = nce_limit_gaps(0)
+    assert grid[:3] == [1, 10, 100]
     assert gaps[0] >= gaps[1] >= gaps[2]
     assert gaps[2] < 0.1
 
@@ -469,18 +469,24 @@ def test_per_context_nce_gradient_searches_the_store_once(monkeypatch):
         assert calls == [len(batch[1])], share
 
 
-@pytest.mark.parametrize("estimator", ["ml", "nce", "nce-shared", "is"])
+@pytest.mark.parametrize(
+    "estimator",
+    ["ml", "nce", "nce-shared", "is", "ml-objective", "nce-objective", "is-objective"],
+)
 def test_an_empty_batch_raises_config_error(estimator):
     params, normalizers, (contexts, targets), noise, _ = random_instance(1)
     empty = (contexts[:0], targets[:0])
     rng = np.random.default_rng(0)
     calls = {
         "ml": lambda: ml_gradient_and_objective(params, normalizers, empty),
+        "ml-objective": lambda: ml_objective(params, normalizers, empty),
         "nce": lambda: nce_gradient_and_objective(params, normalizers, empty, noise, 3, rng),
         "nce-shared": lambda: nce_gradient_and_objective(
             params, normalizers, empty, noise, 3, rng, share_samples=True
         ),
         "is": lambda: is_gradient_and_objective(params, normalizers, empty, noise, 3, rng),
+        "nce-objective": lambda: nce_objective(params, normalizers, empty, noise, 3, rng),
+        "is-objective": lambda: is_objective(params, normalizers, empty, noise, 3, rng),
     }
     with pytest.raises(ConfigError, match="empty batch"):
         calls[estimator]()

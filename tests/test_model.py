@@ -222,9 +222,11 @@ def test_checkpoint_dtype_promotion(tmp_path):
     p = init_params(4, 2, 1, seed=0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, p, NormalizerStore())
-    loaded, _ = load_checkpoint(path, dtype=np.float64)
-    assert loaded.dtype == np.float64
-    assert np.array_equal(loaded.biases, p.biases.astype(np.float64))
+    loaded, _ = load_checkpoint(path)
+    assert loaded.dtype == np.float32
+    promoted = loaded.astype(np.float64)
+    assert promoted.dtype == np.float64
+    assert np.array_equal(promoted.biases, p.biases.astype(np.float64))
 
 
 def test_checkpoint_bytes_are_little_endian_by_construction(tmp_path):

@@ -13,7 +13,6 @@ from ncelm.noise import (
 
 def test_uniform_probs_and_logs():
     dist = uniform(8)
-    assert dist.kind == "uniform"
     assert np.allclose(dist.probs, 0.125)
     assert np.allclose(dist.log_probs, np.log(0.125))
     assert dist.has_full_support

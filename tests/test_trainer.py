@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from ncelm.corpus import extract_pairs
+from ncelm import evaluation
+from ncelm.corpus import Dataset, extract_pairs
+from ncelm.diagnostics import benchmark_update
 from ncelm.errors import ConfigError, DivergenceError
 from ncelm.estimators import Gradient
 from ncelm.model import NormalizerStore, init_params, load_checkpoint
-from ncelm.synthetic import corpus_vocab, generate_sentences, make_truth_params
+from ncelm.synthetic import corpus_vocab, generate_sentences, make_truth_params, make_vocab
 from ncelm.trainer import (
     TrainConfig,
-    benchmark_update,
     sgd_step,
     train,
     update_learning_rate,
@@ -238,6 +239,52 @@ def test_train_validates_datasets(tiny_corpus):
         train(cfg, train_set, three, vocab)
 
 
+def _ids_up_to(top):
+    """200 context-size-2 pairs with ids in [0, top), top - 1 among them."""
+    ids = np.random.default_rng(4).integers(0, top, size=(200, 3))
+    ids[0, -1] = top - 1
+    return Dataset(ids[:, :-1], ids[:, -1], 2, "oos-padding")
+
+
+@pytest.mark.parametrize("estimator", ["ml", "nce"])
+@pytest.mark.parametrize(
+    "train_top, valid_top, params_shape, match",
+    [
+        (60, 50, None, "training set word id 59 is outside the vocabulary of size 50"),
+        (50, 60, None, "validation set word id 59 is outside the vocabulary of size 50"),
+        (50, 50, (40, 2), "initial parameters cover 40 words and 2 context"),
+        (50, 50, (50, 3), "cover 50 words and 3 context positions, .* datasets 2"),
+    ],
+    ids=["train-ids", "valid-ids", "params-vocab-size", "params-context-size"],
+)
+def test_train_rejects_inputs_that_do_not_fit_the_vocabulary_or_params(
+    estimator, train_top, valid_top, params_shape, match
+):
+    initial = None if params_shape is None else init_params(params_shape[0], 4, params_shape[1])
+    cfg = TrainConfig(estimator=estimator, k=2, dim=4, minibatch_size=50, max_epochs=1)
+    with pytest.raises(ConfigError, match=match):
+        train(cfg, _ids_up_to(train_top), _ids_up_to(valid_top), make_vocab(50),
+              initial_params=initial)
+
+
+def test_train_validates_through_the_evaluation_module_attribute(tiny_corpus, monkeypatch):
+    # perfbench times validation by wrapping evaluation.perplexity, so
+    # train() must look it up there on every call.
+    train_set, valid_set, vocab = tiny_corpus
+    calls = []
+
+    def counting_perplexity(params, dataset, _inner=evaluation.perplexity):
+        calls.append(len(dataset))
+        return _inner(params, dataset)
+
+    monkeypatch.setattr(evaluation, "perplexity", counting_perplexity)
+    cfg = TrainConfig(estimator="nce", k=2, dim=4, minibatch_size=16,
+                      initial_lr=0.05, max_epochs=2, seed=3)
+    _, _, history = train(cfg, train_set, valid_set, vocab)
+    assert len(history.records) == 2
+    assert calls == [len(valid_set)] * 2
+
+
 def test_history_csv_layout(tiny_corpus):
     train_set, valid_set, vocab = tiny_corpus
     cfg = TrainConfig(estimator="is", k=2, dim=4, minibatch_size=16,
@@ -259,11 +306,9 @@ def test_benchmark_update_measures_without_mutating(tiny_corpus):
     params = init_params(30, 4, 2, seed=0)
     before = params.context_vectors.copy()
     batch = (train_set.contexts[:64], train_set.targets[:64])
-    seconds = benchmark_update(params, "nce", 2, batch, repetitions=20, warmup=1)
+    seconds = benchmark_update(params, "nce", 2, batch)
     assert seconds > 0.0
     assert np.array_equal(params.context_vectors, before)
-    with pytest.raises(ConfigError):
-        benchmark_update(params, "nce", 2, batch, repetitions=5)
     with pytest.raises(ConfigError):
         benchmark_update(params, "sgd", 2, batch)
 

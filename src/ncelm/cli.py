@@ -39,6 +39,13 @@ from .trainer import ESTIMATORS, NOISE_KINDS, TrainConfig, train
 
 DIAGNOSTICS = ("gradcheck", "nce-limit", "is-stability", "speedup")
 
+_CONFIG_DEFAULTS = {f.name: f.default for f in dataclass_fields(TrainConfig)}
+
+
+def _config_option(parser, flag: str, name: str, **kwargs) -> None:
+    """An option that sets TrainConfig.<name> and defaults to its default."""
+    parser.add_argument(flag, dest=name, default=_CONFIG_DEFAULTS[name], **kwargs)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,12 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
             "importance sampling."
         ),
     )
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument(
-        "--precision",
-        type=int,
-        choices=(32, 64),
-        default=32,
+    _config_option(parser, "--seed", "seed", type=int, help="master random seed")
+    _config_option(
+        parser, "--precision", "precision", type=int, choices=(32, 64),
         help="parameter storage bits while training",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,28 +77,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--history", default=None, help="default: <out>.history.csv")
     p.add_argument("--manifest", default=None, help="default: <out>.manifest")
-    p.add_argument("--estimator", choices=ESTIMATORS, default="nce")
-    p.add_argument("--k", type=int, default=25)
-    p.add_argument("--noise", choices=NOISE_KINDS, default="unigram")
-    p.add_argument("--batch-size", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--weight-penalty", type=float, default=0.0)
-    p.add_argument("--normalizer", choices=NORMALIZER_MODES, default="fixed-one")
-    p.add_argument("--ess-floor", type=float, default=None)
+    _config_option(p, "--estimator", "estimator", choices=ESTIMATORS)
+    _config_option(p, "--k", "k", type=int)
+    _config_option(p, "--noise", "noise_kind", choices=NOISE_KINDS)
+    _config_option(p, "--batch-size", "minibatch_size", type=int)
+    _config_option(p, "--lr", "initial_lr", type=float)
+    _config_option(p, "--epochs", "max_epochs", type=int)
+    _config_option(p, "--weight-penalty", "weight_penalty", type=float)
+    _config_option(p, "--normalizer", "normalizer_mode", choices=NORMALIZER_MODES)
+    _config_option(p, "--ess-floor", "ess_floor", type=float)
     p.add_argument("--context-size", type=int, default=2)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--matrix", choices=MATRIX_MODES, default="full")
-    p.add_argument("--init-scale", type=float, default=0.1)
+    _config_option(p, "--dim", "dim", type=int)
+    _config_option(p, "--matrix", "matrix_mode", choices=MATRIX_MODES)
+    _config_option(p, "--init-scale", "init_scale", type=float)
     p.add_argument("--boundary", choices=BOUNDARY_MODES, default="oos-padding")
     p.add_argument(
         "--bidirectional",
         action="store_true",
         help="context surrounds the target (context-size must be even)",
     )
-    p.add_argument("--smoothing", type=float, default=1.0)
-    p.add_argument("--share-noise", action="store_true")
-    p.add_argument("--cold-bias", action="store_true",
+    _config_option(p, "--smoothing", "noise_smoothing", type=float)
+    _config_option(p, "--share-noise", "share_noise_samples", action="store_true")
+    _config_option(p, "--cold-bias", "warm_start_bias", action="store_false",
                    help="start biases at zero instead of log unigram")
     p.add_argument("--keep-case", action="store_true")
 
@@ -182,25 +186,7 @@ def _cmd_train(args) -> int:
         args.history = args.out + ".history.csv"
     if args.manifest is None:
         args.manifest = args.out + ".manifest"
-    config = TrainConfig(
-        estimator=args.estimator,
-        k=args.k,
-        noise_kind=args.noise,
-        minibatch_size=args.batch_size,
-        initial_lr=args.lr,
-        max_epochs=args.epochs,
-        weight_penalty=args.weight_penalty,
-        seed=args.seed,
-        normalizer_mode=args.normalizer,
-        ess_floor=args.ess_floor,
-        dim=args.dim,
-        matrix_mode=args.matrix,
-        init_scale=args.init_scale,
-        precision=args.precision,
-        noise_smoothing=args.smoothing,
-        warm_start_bias=not args.cold_bias,
-        share_noise_samples=args.share_noise,
-    )
+    config = TrainConfig(**{name: getattr(args, name) for name in _CONFIG_DEFAULTS})
     vocab = load_vocab(args.vocab)
     lowercase = not args.keep_case
     train_set = _load_dataset(

@@ -424,8 +424,9 @@ def exact_nce_gradient(
     """
     if not noise.has_full_support:
         raise SupportError("enumeration oracle requires full noise support")
-    s = scores_all(params, np.asarray(context, dtype=np.int64)[None, :])[0]
-    s += normalizers.lookup(context)
+    row = np.asarray(context, dtype=np.int64)[None, :]
+    s = scores_all(params, row)[0]
+    s += normalizers.lookup_batch(row)[0]
     data_dist = np.asarray(data_dist, dtype=np.float64)
     alpha = expit(np.log(k) + noise.log_probs - s)
     coefs = alpha * (data_dist - np.exp(s))

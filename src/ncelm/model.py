@@ -11,7 +11,7 @@ column of a single float64 GEMM and never normalizes its rows (see
 estimators.ml_gradient_and_objective). Per-context log-normalizers,
 when trained instead of computed, live in a NormalizerStore: dense
 float64 values indexed by entry id, found by binary search over
-contexts packed into sorted int64 codes.
+sorted context keys.
 
 Parameters are stored in float32 by default for training speed;
 probability arithmetic always accumulates in float64. Oracle tests use
@@ -95,11 +95,11 @@ class NormalizerStore:
     start, and its first epoch writes each of them; any other caller
     that meets an unseen context registers it on the fly.
 
-    Lookups pack each context into one int64 code, position 0 most
-    significant in radix (largest registered id + 1), so the sorted
-    codes sort like the id tuples, and binary-search them. When
-    radix ** context_size would overflow int64, rows are matched and
-    ordered with np.unique(axis=0) instead.
+    Lookups binary-search one sorted key per entry. _key alone knows
+    how a row is encoded: as one int64 code, position 0 most significant
+    in radix (largest registered id + 1), while radix ** context_size
+    fits int64, and otherwise as the row's big-endian int64 bytes viewed
+    as one np.void scalar. Either key sorts like the id tuples.
 
     Unseen and unwritten contexts read as 0, so a freshly constructed
     per-context store behaves exactly like fixed-one.
@@ -112,12 +112,12 @@ class NormalizerStore:
         self.context_size: int | None = None
         self._keys = np.empty((0, 0), dtype=np.int64)
         self._values = np.empty(0)
-        # Entry ids in sorted key order, and their packed codes (None
-        # when the keys do not pack into int64).
+        # Entry ids in sorted key order, and their keys.
         self._order = np.empty(0, dtype=np.int64)
-        self._codes: np.ndarray | None = np.empty(0, dtype=np.int64)
+        self._sorted = np.empty(0, dtype=np.int64)
         self._radix = 1
-        self._weights = np.empty(0, dtype=np.int64)  # radix ** (c - 1 - i)
+        # radix ** (c - 1 - i) by position; None while keys are bytes.
+        self._weights: np.ndarray | None = None
 
     @property
     def table(self) -> "Mapping[tuple[int, ...], float]":
@@ -144,10 +144,13 @@ class NormalizerStore:
             )
         return rows
 
-    def _pack(self, rows: np.ndarray) -> np.ndarray:
-        """One int64 code per row, position 0 most significant, so codes
-        sort like the id tuples; -1 for a row holding an id outside
-        [0, radix). rows must be non-empty."""
+    def _key(self, rows: np.ndarray) -> np.ndarray:
+        """One key per row, sorting like the id tuples: the int64 code,
+        or -1 for a row holding an id outside [0, radix); or the row's
+        bytes when codes would overflow. rows must be non-empty."""
+        if self._weights is None:
+            wide = np.ascontiguousarray(rows, dtype=">i8")
+            return wide.view(np.dtype((np.void, wide.itemsize * wide.shape[1])))[:, 0]
         codes = rows @ self._weights
         unsigned = rows.view(np.uint64)  # a negative id reads as huge
         if unsigned.max() >= self._radix:
@@ -159,18 +162,10 @@ class NormalizerStore:
         n = len(self._keys)
         if n == 0 or len(rows) == 0:
             return np.full(len(rows), -1, dtype=np.int64)
-        if self._codes is None:
-            _, inverse = np.unique(
-                np.concatenate([self._keys, rows]), axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            entry = np.full(inverse.max() + 1, -1, dtype=np.int64)
-            entry[inverse[:n]] = np.arange(n)
-            return entry[inverse[n:]]
-        codes = self._pack(rows)
-        pos = np.searchsorted(self._codes, codes)
+        keys = self._key(rows)
+        pos = np.searchsorted(self._sorted, keys)
         np.minimum(pos, n - 1, out=pos)
-        absent = self._codes[pos] != codes
+        absent = self._sorted[pos] != keys
         # take buffers its output in the default mode, so the result can
         # reuse the position array.
         ids = np.take(self._order, pos, out=pos)
@@ -178,37 +173,28 @@ class NormalizerStore:
         return ids
 
     def _add_keys(self, rows: np.ndarray) -> None:
-        """Append one entry with value 0 per distinct row; no row may
-        have an entry yet."""
+        """Append one entry with value 0 per distinct row, in sorted
+        order; no row may have an entry yet."""
         if rows.min() < 0 or rows.max() > _MAX_KEY_ID:
             raise ConfigError(
                 f"normalizer contexts hold word ids in [0, {_MAX_KEY_ID}], "
                 f"got {rows.min() if rows.min() < 0 else rows.max()}"
             )
         c = rows.shape[1]
-        old = self._keys.reshape(-1, c)
         self.context_size = c
         self._radix = radix = max(self._radix, int(rows.max()) + 1)
-        if radix**c <= 2**63:
-            self._weights = np.array([radix ** (c - 1 - i) for i in range(c)], dtype=np.int64)
-            # Unpacking the distinct codes needs no index arrays, which
-            # keeps train()'s one large registration small in memory.
-            new = np.unique(self._pack(rows))
-            keys = np.empty((len(new), c), dtype=np.int64)
-            for i in range(c - 1, 0, -1):
-                new, keys[:, i] = np.divmod(new, radix)
-            keys[:, 0] = new
-            keys = np.concatenate([old, keys])
-            codes = self._pack(keys)
-            self._order = np.argsort(codes)
-            self._codes = codes[self._order]
-        else:
-            keys = np.concatenate([old, np.unique(rows, axis=0)])
-            self._order = np.unique(keys, axis=0, return_index=True)[1]
-            self._codes = None
-        grow = len(keys) - len(old)
+        self._weights = (
+            np.array([radix ** (c - 1 - i) for i in range(c)], dtype=np.int64)
+            if radix**c <= 2**63
+            else None
+        )
+        _, first = np.unique(self._key(rows), return_index=True)
+        keys = np.concatenate([self._keys.reshape(-1, c), rows[first]])
+        sort_keys = self._key(keys)
+        self._order = np.argsort(sort_keys)
+        self._sorted = sort_keys[self._order]
         self._keys = keys
-        self._values = np.concatenate([self._values, np.zeros(grow)])
+        self._values = np.concatenate([self._values, np.zeros(len(first))])
 
     def register(self, contexts) -> np.ndarray:
         """Entry ids of the context rows, registering each context not
@@ -220,9 +206,6 @@ class NormalizerStore:
             self._add_keys(rows[missing])
             ids = self._find(rows)
         return ids
-
-    def lookup(self, context) -> float:
-        return float(self.lookup_batch(np.asarray(context, dtype=np.int64)[None, :])[0])
 
     def lookup_batch(self, contexts: np.ndarray) -> np.ndarray:
         if self.mode == "fixed-one" or len(self._keys) == 0:
@@ -243,8 +226,8 @@ class NormalizerStore:
         return self._keys[self._order], self._values[self._order]
 
     def copy(self) -> "NormalizerStore":
-        # Key, order and code arrays are replaced, never written in
-        # place, so the copy shares them.
+        # Key, order and sorted-key arrays are replaced, never written
+        # in place, so the copy shares them.
         new = object.__new__(NormalizerStore)
         new.__dict__.update(self.__dict__)
         new._values = self._values.copy()

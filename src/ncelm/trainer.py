@@ -281,6 +281,11 @@ def train(
             f"{initial_params.context_size} context positions, but the vocabulary "
             f"has {vocab.size} words and the datasets {train_set.context_size} positions"
         )
+    if initial_normalizers is not None and initial_normalizers.mode != config.normalizer_mode:
+        raise ConfigError(
+            f"initial normalizers are {initial_normalizers.mode}, but the config "
+            f"trains {config.normalizer_mode} normalizers"
+        )
 
     master = np.random.SeedSequence(config.seed)
     init_seed, shuffle_seed, noise_seed = master.spawn(3)

@@ -1,12 +1,14 @@
 import subprocess
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from ncelm.cli import main
+from ncelm.cli import build_parser, main
 from ncelm.model import load_checkpoint
 from ncelm.synthetic import generate_sentences, make_truth_params, make_words
+from ncelm.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,32 @@ def test_train_writes_checkpoint_history_and_manifest(workdir, capsys):
 
     params, _ = load_checkpoint(out)
     assert params.vocab_size == 40 and params.dim == 6
+
+
+def _parsed_config(global_flags=(), train_flags=()):
+    args = build_parser().parse_args([
+        *global_flags, "train", "c.txt", "--valid", "v.txt", "--vocab", "w.txt",
+        "--out", "m", *train_flags,
+    ])
+    return {f.name: getattr(args, f.name) for f in fields(TrainConfig)}
+
+
+def test_train_options_default_to_train_config_and_set_its_fields():
+    assert _parsed_config() == asdict(TrainConfig())
+    parsed = _parsed_config(
+        ["--seed", "3", "--precision", "64"],
+        ["--estimator", "is", "--k", "5", "--noise", "uniform", "--batch-size", "7",
+         "--lr", "0.5", "--epochs", "4", "--weight-penalty", "0.01",
+         "--normalizer", "per-context", "--ess-floor", "2.5", "--dim", "8",
+         "--matrix", "diagonal", "--init-scale", "0.2", "--smoothing", "0.75",
+         "--share-noise", "--cold-bias"],
+    )
+    assert parsed == asdict(TrainConfig(
+        estimator="is", k=5, noise_kind="uniform", minibatch_size=7, initial_lr=0.5,
+        max_epochs=4, weight_penalty=0.01, seed=3, normalizer_mode="per-context",
+        ess_floor=2.5, dim=8, matrix_mode="diagonal", init_scale=0.2, precision=64,
+        noise_smoothing=0.75, warm_start_bias=False, share_noise_samples=True,
+    ))
 
 
 def test_train_same_seed_same_bytes(workdir):

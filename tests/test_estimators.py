@@ -167,8 +167,9 @@ def test_finite_difference_agreement_all_estimators(seed):
 def _exact_nce_objective(params, normalizers, data_dist, context, noise, k):
     """Expected NCE objective by enumeration, the quantity whose gradient
     exact_nce_gradient computes."""
-    s = scores_all(params, np.asarray(context, dtype=np.int64)[None, :])[0]
-    s += normalizers.lookup(context)
+    row = np.asarray(context, dtype=np.int64)[None, :]
+    s = scores_all(params, row)[0]
+    s += normalizers.lookup_batch(row)[0]
     z = (np.log(k) + noise.log_probs) - s
     return float(
         (data_dist * log_expit(-z)).sum() + k * (noise.probs * log_expit(z)).sum()
@@ -335,9 +336,9 @@ def test_update_normalizers_accumulates_per_context():
         np.zeros((2, 2, 2)), np.zeros(0), (store.register([(1, 2)]), np.array([2.0])),
     )
     update_normalizers(grad, store, 0.1)
-    assert np.isclose(store.lookup([1, 2]), 0.2)
+    assert np.isclose(store.table[(1, 2)], 0.2)
     update_normalizers(grad, store, 0.1)
-    assert np.isclose(store.lookup([1, 2]), 0.4)
+    assert np.isclose(store.table[(1, 2)], 0.4)
 
     fixed = NormalizerStore("fixed-one")
     update_normalizers(grad, fixed, 0.1)

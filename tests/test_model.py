@@ -1,7 +1,11 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import softmax
 
 from ncelm.errors import CheckpointFormatError, ConfigError
@@ -149,12 +153,12 @@ def test_full_distribution_rows_match_softmax():
 
 def test_normalizer_store_modes():
     fixed = NormalizerStore("fixed-one")
-    assert fixed.lookup([3, 4]) == 0.0
+    assert fixed.lookup_batch(np.array([[3, 4]])).tolist() == [0.0]
 
     store = NormalizerStore("per-context")
-    assert store.lookup([3, 4]) == 0.0
+    assert store.lookup_batch(np.array([[3, 4]])).tolist() == [0.0]
     store.set_values([(3, 4)], [-1.5])
-    assert store.lookup(np.array([3, 4])) == -1.5
+    assert store.lookup_batch(np.array([[3, 4]])).tolist() == [-1.5]
     batch = store.lookup_batch(np.array([[3, 4], [4, 3]]))
     assert batch.tolist() == [-1.5, 0.0]
 
@@ -329,9 +333,9 @@ def test_normalizer_store_unpackable_keys_order_save_and_look_up_like_tuples(tmp
     values = dict(zip(small + large, np.random.default_rng(6).normal(size=7).tolist()))
     store = NormalizerStore("per-context")
     small_ids = store.register(small)
-    assert store._codes is not None  # ids below 2**21 pack three to an int64
+    assert store._sorted.dtype == np.int64  # ids below 2**21 pack three to an int64
     store.set_values(large + small, [values[key] for key in large + small])
-    assert store._codes is None  # (2**21 + 8) ** 3 overflows: np.unique matching
+    assert store._sorted.dtype.kind == "V"  # (2**21 + 8) ** 3 overflows: byte keys
     assert store.register(small).tolist() == small_ids.tolist()
     assert list(store.table) == sorted(values)
     assert dict(store.table) == values
@@ -353,6 +357,59 @@ def test_normalizer_store_unpackable_keys_order_save_and_look_up_like_tuples(tmp
     assert again.read_bytes() == path.read_bytes()
 
 
+@st.composite
+def _store_batches(draw):
+    """A context size from 1 to 8 and batches of context rows, mostly of
+    small ids, some reaching the largest id a checkpoint holds."""
+    c = draw(st.integers(1, 8))
+    word = st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1))
+    row = st.tuples(*[word] * c)
+    return c, draw(st.lists(st.lists(row, min_size=1, max_size=6), min_size=1, max_size=4))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_store_batches())
+# A larger id arrives after int64 codes were in use: keys turn to bytes.
+@example(case=(2, [[(1, 2), (0, 5), (1, 2)], [(2**32 - 1, 0), (0, 5)], [(3, 3)]]))
+@example(case=(8, [[(1,) * 8, (6, 0, 0, 0, 0, 0, 0, 5)], [(300,) + (0,) * 7, (1,) * 8]]))
+def test_normalizer_store_matches_a_dict_of_tuples(case):
+    c, batches = case
+    store = NormalizerStore("per-context")
+    ids, values = {}, {}  # context tuple -> entry id, and -> value
+    for step, batch in enumerate(batches):
+        # New contexts take the next entry ids in sorted order.
+        new = sorted(set(batch) - set(ids))
+        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+        got = store.register(np.array(batch))
+        assert got.tolist() == [ids[key] for key in batch]
+        radix = max(max(key) for key in ids) + 1
+        assert store._sorted.dtype.kind == ("i" if radix**c <= 2**63 else "V")
+
+        values.update((key, step - ids[key] / 4) for key in batch)
+        store.assign(got, [values[key] for key in batch])
+        queries = list(ids) + [tuple(i + 1 for i in key) for key in batch] + [(-1,) * c]
+        assert store.lookup_batch(np.array(queries)).tolist() == [
+            values.get(key, 0.0) for key in queries
+        ]
+
+    keys, stored = store.entries()
+    assert [tuple(key) for key in keys.tolist()] == sorted(ids)
+    assert stored.tolist() == [values[key] for key in sorted(ids)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+        save_checkpoint(path, init_params(2, 1, c), store)
+        with open(path, "rb") as f:
+            data = f.read()
+        assert data.endswith(struct.pack("<I", len(ids)) + b"".join(
+            struct.pack(f"<{c}If", *key, values[key]) for key in sorted(ids)
+        ))
+        params, loaded = load_checkpoint(path)
+        assert dict(loaded.table) == values
+        save_checkpoint(again, params, loaded)
+        with open(again, "rb") as f:
+            assert f.read() == data
+
+
 def test_normalizer_store_table_is_a_read_only_view_of_registered_entries():
     store = _per_context_store({(2, 1): 0.5})
     store.register(np.array([[0, 3], [2, 1], [4, 4]]))
@@ -361,10 +418,10 @@ def test_normalizer_store_table_is_a_read_only_view_of_registered_entries():
     assert len(store.table) == 3
     assert store.table == {(0, 3): 0.0, (2, 1): 0.5, (4, 4): 0.0}
     assert store.table.get((3, 0)) is None
-    assert store.lookup([0, 3]) == 0.0
+    assert store.lookup_batch(np.array([[0, 3]])).tolist() == [0.0]
     # Ids past the largest registered one must not alias a packed key:
     # (1, 6) packs in radix 5 to the code of (2, 1).
-    assert store.lookup([1, 6]) == 0.0
+    assert store.lookup_batch(np.array([[1, 6]])).tolist() == [0.0]
     assert store.table.get((1, 6)) is None
     with pytest.raises(TypeError):
         store.table[(0, 3)] = 1.0
@@ -392,7 +449,7 @@ def test_checkpoint_saves_a_registered_unwritten_entry_as_zero(tmp_path):
 
     params, loaded = load_checkpoint(path)
     assert loaded.table == {(0, 3): 0.0, (2, 1): 0.5}
-    assert loaded.lookup([0, 3]) == 0.0
+    assert loaded.lookup_batch(np.array([[0, 3]])).tolist() == [0.0]
     again = tmp_path / "again.ckpt"
     save_checkpoint(again, params, loaded)
     assert again.read_bytes() == path.read_bytes()

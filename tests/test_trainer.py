@@ -117,7 +117,7 @@ def test_sgd_step_updates_normalizer_store():
     grad = _gradient(params)
     grad.normalizer_grads = (store.register([(0, 1)]), np.array([4.0]))
     sgd_step(params, store, grad, 0.25)
-    assert np.isclose(store.lookup([0, 1]), 1.0)
+    assert np.isclose(store.table[(0, 1)], 1.0)
 
 
 def test_sgd_step_raises_on_nonfinite_update():
@@ -218,14 +218,35 @@ def test_train_divergence_names_run_and_keeps_checkpoint(tiny_corpus, tmp_path):
 
 def test_train_grows_k_when_ess_floor_is_unmet(tiny_corpus):
     train_set, valid_set, vocab = tiny_corpus
-    cfg = TrainConfig(estimator="is", k=3, ess_floor=3.0, dim=4,
-                      minibatch_size=16, initial_lr=0.02, max_epochs=3, seed=1)
-    _, _, hist = train(cfg, train_set, valid_set, vocab)
-    assert hist.k_by_epoch[0] == 3
-    assert hist.k_by_epoch == sorted(hist.k_by_epoch)
-    assert hist.k_by_epoch[-1] > 3
-    assert all(rec.mean_ess is not None for rec in hist.records)
-    assert len(hist.max_weight_fractions) == len(hist.records)
+
+    def k_by_epoch(ess_floor):
+        cfg = TrainConfig(estimator="is", k=2, ess_floor=ess_floor, dim=4,
+                          minibatch_size=16, initial_lr=0.02, max_epochs=4, seed=1)
+        _, _, hist = train(cfg, train_set, valid_set, vocab)
+        assert all(rec.mean_ess >= 1 for rec in hist.records)
+        assert len(hist.max_weight_fractions) == len(hist.records)
+        return hist.k_by_epoch
+
+    # Every epoch misses the floor: k grows by half, and by at least one
+    # (round(1.5 * 3) is 4 under round-half-to-even).
+    assert k_by_epoch(1e9) == [2, 3, 4, 6]
+    # ESS is at least 1, so every epoch meets the floor.
+    assert k_by_epoch(0.5) == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "store_mode, config_mode",
+    [("per-context", "fixed-one"), ("fixed-one", "per-context")],
+)
+def test_train_rejects_initial_normalizers_of_another_mode(
+    tiny_corpus, store_mode, config_mode
+):
+    train_set, valid_set, vocab = tiny_corpus
+    cfg = TrainConfig(estimator="nce", k=2, dim=4, max_epochs=1,
+                      normalizer_mode=config_mode)
+    with pytest.raises(ConfigError, match=f"initial normalizers are {store_mode}"):
+        train(cfg, train_set, valid_set, vocab,
+              initial_normalizers=NormalizerStore(store_mode))
 
 
 def test_train_validates_datasets(tiny_corpus):

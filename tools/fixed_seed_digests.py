@@ -1,4 +1,4 @@
-"""Print SHA-256 digests of eight fixed-seed training runs.
+"""Print SHA-256 digests of nine fixed-seed training runs.
 
     PYTHONPATH=src python3 tools/fixed_seed_digests.py [--epochs N]
 
@@ -9,8 +9,10 @@ sentences) into a temporary directory and trains on it through
 ML, NCE with fixed-one normalizers, NCE with per-context normalizers,
 NCE with shared noise draws, NCE with per-context normalizers and
 shared noise draws, importance sampling with k=10, NCE at
-``--precision 64``, and NCE with the two-sided context layout
-(``--bidirectional --context-size 2``). For each run it prints one line with the digest of
+``--precision 64``, NCE with the two-sided context layout
+(``--bidirectional --context-size 2``), and NCE with per-context
+normalizers over eight-word contexts, whose keys (300 ** 8 > 2 ** 63)
+do not pack into int64. For each run it prints one line with the digest of
 the checkpoint and of the history CSV without its ``seconds`` column,
 the only field that depends on the host. A refactor that claims to keep
 training behaviour prints the same lines before and after.
@@ -44,6 +46,8 @@ RUNS = (
     ("nce-precision64", ["--precision", "64"], ["--estimator", "nce", "--lr", "0.01"]),
     ("nce-bidirectional", [], ["--estimator", "nce", "--lr", "0.01",
                                "--bidirectional", "--context-size", "2"]),
+    ("nce-per-context-wide", [], ["--estimator", "nce", "--lr", "0.01",
+                                  "--normalizer", "per-context", "--context-size", "8"]),
 )
 
 

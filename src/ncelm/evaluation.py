@@ -7,13 +7,17 @@ partition function is always summed out exactly.
 
 One kernel, _target_log_probs, computes ln P(target | context) row by
 row; perplexity, context_log_prob, completion and the exact-likelihood
-objective all go through it. It scores through model.scores_all, the
-same float64 scorer that sampling and the gradient oracles use. It
-rejects word ids outside the model's vocabulary, converts the target
-table and biases to float64 once per call, and not at all when they
-already are float64. It scores the rows a chunk at a time into one
-reused buffer of at most _SCORE_BUFFER_ELEMS float64 values, and does
-the max shift, exp, sum and log in place. Completion ranks every
+objective all go through it. It rejects word ids outside the model's
+vocabulary and builds one float64 [target_vectors, biases] table per
+call, so the bias is a feature column: each chunk of rows is scored as
+[qhat, 1] @ table.T by one GEMM into a reused buffer of at most
+_SCORE_BUFFER_ELEMS float64 values. It then takes the target scores,
+exponentiates the buffer in place and logs the row sums, with no max
+shift: a model close to self-normalizing keeps every raw sum far inside
+float64's range. Only a row whose sum falls outside (_MIN_Z, _MAX_Z),
+where a term may have overflowed or the sum underflowed, is scored again
+through model.scores_all, the float64 scorer that sampling and the
+gradient oracles use, with the max shift. Completion ranks every
 problem of a call with one kernel call over only the rows whose
 log-probability differs between candidates; corpus.context_windows
 cuts the blank's window out of the problems' sentences, in the same
@@ -22,7 +26,7 @@ layout as the training pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -39,14 +43,22 @@ from .corpus import (
     two_sided_offsets,
 )
 from .errors import ConfigError, IngestionError
-from .model import LblParams, scores_all
+from .model import LblParams, predicted_representation_batch, scores_all
 
 BLANK_MARKER = "___"
 
 # The kernel's score buffer, in float64 elements (8 MB). On 2 CPUs at
 # V=7,870, d=100, buffers of 8 to 16 MB scored fastest, 32 MB took 14%
 # longer and 2 MB 15% longer; at V=2,000, 0.5 to 16 MB timed the same.
+# Without the max shift, 4 to 16 MB timed alike within host noise at
+# both shapes.
 _SCORE_BUFFER_ELEMS = 1 << 20
+
+# The window of a row's raw sum of exp that needs no max shift. Below
+# _MAX_Z no term overflowed; above _MIN_Z a term that underflowed (less
+# than about 1e-308) is negligible next to the sum.
+_MIN_Z = 1e-200
+_MAX_Z = 1e200
 
 
 def _target_log_probs(
@@ -55,34 +67,48 @@ def _target_log_probs(
     """ln P(target | context) for each row, explicitly normalized in float64.
 
     Scores as many rows at a time as fit in _SCORE_BUFFER_ELEMS into one
-    buffer that every chunk reuses. Raises ConfigError when a context or
-    target id is outside the vocabulary.
+    buffer that every chunk reuses, as [qhat, 1] @ [target_vectors,
+    biases].T, and takes the log of the raw row sum of exp. A row whose
+    sum leaves (_MIN_Z, _MAX_Z) is scored again through scores_all with
+    the max shift. Raises ConfigError when a context or target id is
+    outside the vocabulary.
     """
     n = targets.shape[0]
     v = params.vocab_size
+    d = params.dim
     bad = out_of_range_id(v, contexts, targets)
     if bad is not None:
         raise ConfigError(
             f"word id {bad} is outside the model's vocabulary of size {v}; "
             "the vocabulary may come from another run"
         )
-    if params.target_vectors.dtype != np.float64 or params.biases.dtype != np.float64:
-        # Convert the two V-row tensors once here, not once per chunk.
-        params = replace(
-            params,
-            target_vectors=params.target_vectors.astype(np.float64),
-            biases=params.biases.astype(np.float64),
-        )
+    table = np.empty((v, d + 1))
+    table[:, :d] = params.target_vectors
+    table[:, d] = params.biases
     chunk_rows = max(1, min(_SCORE_BUFFER_ELEMS // v, n))
     buffer = np.empty((chunk_rows, v))
+    q1 = np.ones((chunk_rows, d + 1))
     out = np.empty(n)
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)
-        scores = scores_all(params, contexts[lo:hi], out=buffer[: hi - lo])
-        scores -= scores.max(axis=1, keepdims=True)
-        picked = scores[np.arange(hi - lo), targets[lo:hi]]
-        np.exp(scores, out=scores)
-        out[lo:hi] = picked - np.log(scores.sum(axis=1))
+        rows = hi - lo
+        q1[:rows, :d] = predicted_representation_batch(
+            params, contexts[lo:hi], np.float64
+        )
+        scores = np.matmul(q1[:rows], table.T, out=buffer[:rows])
+        picked = scores[np.arange(rows), targets[lo:hi]]
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            np.exp(scores, out=scores)
+            z = scores.sum(axis=1)
+            out[lo:hi] = picked - np.log(z)
+        redo = np.flatnonzero(~((z > _MIN_Z) & (z < _MAX_Z)))
+        if redo.size:
+            # Score those rows again with the max shift.
+            rescored = scores_all(params, contexts[lo + redo], out=buffer[: redo.size])
+            rescored -= rescored.max(axis=1, keepdims=True)
+            picked = rescored[np.arange(redo.size), targets[lo + redo]]
+            np.exp(rescored, out=rescored)
+            out[lo + redo] = picked - np.log(rescored.sum(axis=1))
     return out
 
 
@@ -105,7 +131,9 @@ def perplexity(params: LblParams, dataset: Dataset) -> float:
 def context_log_prob(params: LblParams, context, word: int) -> float:
     """ln P(word | context) under explicit normalization, for one context.
 
-    Float64 parameters are used as they are, without a copy.
+    Each call builds the kernel's (V, d+1) float64 table of the target
+    vectors and biases; perplexity and completion_accuracy build it once
+    for all of their rows.
     """
     ctx = np.asarray(context, dtype=np.int64)[None, :]
     tgt = np.asarray([word], dtype=np.int64)
@@ -248,9 +276,12 @@ def read_completion_problems(
                     raise IngestionError(
                         f"line {lineno}: answer field is not an integer"
                     ) from err
-            problems.append(
-                CompletionProblem(sentence, blank, candidates, answer)
-            )
+            try:
+                problems.append(
+                    CompletionProblem(sentence, blank, candidates, answer)
+                )
+            except ConfigError as err:
+                raise IngestionError(f"line {lineno}: {err}") from err
     return problems
 
 

@@ -178,6 +178,23 @@ def test_complete_prints_choices_and_accuracy(workdir, capsys):
     assert choices_out.read_text().split() == [str(c) for c in picked]
 
 
+def test_complete_names_the_line_of_a_bad_problem(workdir, capsys):
+    root, _, _, vocab_path = workdir
+    out, rc = _train(workdir, "bad-problem-model.ckpt")
+    assert rc == 0
+    problems = root / "bad-problems.tsv"
+    problems.write_text(
+        "w0005 w0007 ___ w0011\tw0002|w0019|w0025|w0031|w0038\t1\n"
+        "w0003 ___ w0009\tw0006|w0008|w0010|w0012\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["complete", str(out), str(problems), "--vocab", str(vocab_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: line 2: expected exactly 5 candidates, got 4" in err
+    assert "Traceback" not in err
+
+
 def test_bidirectional_round_trip(workdir, capsys):
     root, _, valid_txt, vocab_path = workdir
     out, rc = _train(workdir, "bi.ckpt", "--bidirectional", "--context-size", "2")
@@ -243,26 +260,29 @@ def test_vocabulary_larger_than_the_model_is_a_named_error(workdir, capsys, tmp_
         assert "Traceback" not in err
 
 
-# The report of the dict-keyed normalizer store, which the dense store
-# reproduces digit for digit, per-context normalizer coordinates included.
+# The nce, nce_shared and is lines are the report of the dict-keyed
+# normalizer store, which the dense store reproduces digit for digit,
+# per-context normalizer coordinates included. The ml lines are the
+# finite-difference noise of ml_objective, which scores through the
+# evaluation kernel: they move with the last bits of that kernel's sums.
 GRADCHECK_SEED0_REPORT = (
-    "seed0_ml=3.390e-10\n"
+    "seed0_ml=3.471e-10\n"
     "seed0_nce=6.174e-10\n"
     "seed0_nce_shared=5.959e-10\n"
     "seed0_is=4.325e-10\n"
-    "seed1_ml=3.017e-10\n"
+    "seed1_ml=2.661e-10\n"
     "seed1_nce=5.890e-10\n"
     "seed1_nce_shared=6.648e-10\n"
     "seed1_is=3.725e-10\n"
-    "seed2_ml=2.783e-10\n"
+    "seed2_ml=3.304e-10\n"
     "seed2_nce=5.699e-10\n"
     "seed2_nce_shared=4.237e-10\n"
     "seed2_is=3.296e-10\n"
-    "seed3_ml=3.032e-10\n"
+    "seed3_ml=2.820e-10\n"
     "seed3_nce=3.265e-10\n"
     "seed3_nce_shared=2.345e-10\n"
     "seed3_is=2.392e-10\n"
-    "seed4_ml=3.702e-10\n"
+    "seed4_ml=4.299e-10\n"
     "seed4_nce=7.855e-10\n"
     "seed4_nce_shared=5.713e-10\n"
     "seed4_is=4.769e-10\n"

@@ -321,11 +321,28 @@ def test_read_completion_problems_reports_line_numbers(tmp_path, toy_vocab):
         read_completion_problems(path, toy_vocab)
 
     path.write_text("cat ___ here\tsat|ran\n")
-    with pytest.raises(ConfigError, match="5 candidates"):
+    with pytest.raises(IngestionError, match="line 1: .*5 candidates"):
         read_completion_problems(path, toy_vocab)
 
     path.write_text("cat ___ here\tsat|ran|cat|dog|there\tfirst\n")
     with pytest.raises(IngestionError, match="not an integer"):
+        read_completion_problems(path, toy_vocab)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ("sat|ran|cat|dog", "expected exactly 5 candidates, got 4"),
+        ("sat|ran|cat|dog|sat", "candidates must be distinct"),
+        ("sat|ran|cat|dog|there\t5", r"answer index 5 outside \[0, 5\)"),
+    ],
+)
+def test_read_completion_problems_names_the_line_of_a_bad_problem(
+    tmp_path, toy_vocab, fields, message
+):
+    path = tmp_path / "problems.tsv"
+    path.write_text(f"cat ___ here\tsat|ran|cat|dog|there\t0\n\ndog ___\t{fields}\n")
+    with pytest.raises(IngestionError, match=f"^line 3: {message}"):
         read_completion_problems(path, toy_vocab)
 
 
@@ -420,6 +437,37 @@ def test_kernel_handles_scores_near_1e3_without_overflow(offset):
             got = evaluation._target_log_probs(params, contexts, targets)
     want = _reference_log_probs(params, contexts, targets)
     assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 4])
+def test_kernel_rescores_overflowing_and_underflowing_rows_in_place(
+    monkeypatch, chunk_rows
+):
+    # Words 1 and 2 lift or sink every score of a context made of them by
+    # about 800, through a coordinate that every target vector shares, so
+    # the raw sum of exp of their rows overflows or underflows.
+    params = _kernel_params("full", np.float64)
+    params.context_vectors[:, 0] = 0.0
+    params.context_vectors[1, 0] = 400.0
+    params.context_vectors[2, 0] = -400.0
+    params.context_transforms[:, 0, :] = 0.0
+    params.context_transforms[:, :, 0] = 0.0
+    params.context_transforms[:, 0, 0] = 1.0
+    params.target_vectors[:, 0] = 1.0
+    contexts, targets = _random_rows(12, seed=3)
+    contexts[contexts <= 2] = 3
+    contexts[[3, 9]] = 1
+    contexts[[4, 10]] = 2
+    if chunk_rows is not None:
+        # Chunks of rows 0-3, 4-7 and 8-11: rows 3 and 4 sit on either side
+        # of a boundary, and rows 9 and 10 share a chunk with ordinary rows.
+        monkeypatch.setattr(evaluation, "_SCORE_BUFFER_ELEMS", chunk_rows * KERNEL_VOCAB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = evaluation._target_log_probs(params, contexts, targets)
+    want = _reference_log_probs(params, contexts, targets)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 

@@ -50,8 +50,8 @@ BLANK_MARKER = "___"
 # The kernel's score buffer, in float64 elements (8 MB). On 2 CPUs at
 # V=7,870, d=100, buffers of 8 to 16 MB scored fastest, 32 MB took 14%
 # longer and 2 MB 15% longer; at V=2,000, 0.5 to 16 MB timed the same.
-# Without the max shift, 4 to 16 MB timed alike within host noise at
-# both shapes.
+# Without the max shift, 8 MB stayed fastest at V=7,866, d=100 (4 and
+# 16 MB took 13-47% longer); at V=1,990, 4 to 16 MB timed alike.
 _SCORE_BUFFER_ELEMS = 1 << 20
 
 # The window of a row's raw sum of exp that needs no max shift. Below

@@ -8,10 +8,11 @@ partition function is always summed out exactly.
 One kernel, _target_log_probs, computes ln P(target | context) row by
 row; perplexity, context_log_prob, completion and the exact-likelihood
 objective all go through it. It rejects word ids outside the model's
-vocabulary and builds one float64 [target_vectors, biases] table per
+vocabulary and fills one float64 [target_vectors, biases] table per
 call, so the bias is a feature column: each chunk of rows is scored as
-[qhat, 1] @ table.T by one GEMM into a reused buffer of at most
-_SCORE_BUFFER_ELEMS float64 values. It then takes the target scores,
+[qhat, 1] @ table.T by one GEMM into a buffer of at most
+_SCORE_BUFFER_ELEMS float64 values. Table and buffer sit in a scratch
+that each thread keeps from call to call. It then takes the target scores,
 exponentiates the buffer in place and logs the row sums, with no max
 shift: a model close to self-normalizing keeps every raw sum far inside
 float64's range. Only a row whose sum falls outside (_MIN_Z, _MAX_Z),
@@ -26,6 +27,7 @@ layout as the training pairs.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import chain
 
@@ -60,6 +62,28 @@ _SCORE_BUFFER_ELEMS = 1 << 20
 _MIN_Z = 1e-200
 _MAX_Z = 1e200
 
+# Each thread's float64 scratch for the kernel's table, score buffer and
+# [qhat, 1] rows, kept from call to call. Allocated anew, those 15 MB (at
+# V=7,866, d=100) were in some processes mapped and zeroed again on every
+# call, which made a short completion call 20-25% slower there.
+_scratch = threading.local()
+
+
+def _scratch_views(*shapes: tuple[int, int]) -> list[np.ndarray]:
+    """Disjoint float64 arrays of the given shapes, back to back in this
+    thread's scratch, which grows when they do not fit."""
+    starts, end = [], 0
+    for rows, cols in shapes:
+        starts.append(end)
+        end += rows * cols
+    block = getattr(_scratch, "block", None)
+    if block is None or block.size < end:
+        block = _scratch.block = np.empty(end)
+    return [
+        block[s : s + rows * cols].reshape(rows, cols)
+        for s, (rows, cols) in zip(starts, shapes)
+    ]
+
 
 def _target_log_probs(
     params: LblParams, contexts: np.ndarray, targets: np.ndarray
@@ -67,7 +91,7 @@ def _target_log_probs(
     """ln P(target | context) for each row, explicitly normalized in float64.
 
     Scores as many rows at a time as fit in _SCORE_BUFFER_ELEMS into one
-    buffer that every chunk reuses, as [qhat, 1] @ [target_vectors,
+    buffer that every chunk and call reuses, as [qhat, 1] @ [target_vectors,
     biases].T, and takes the log of the raw row sum of exp. A row whose
     sum leaves (_MIN_Z, _MAX_Z) is scored again through scores_all with
     the max shift. Raises ConfigError when a context or target id is
@@ -82,12 +106,13 @@ def _target_log_probs(
             f"word id {bad} is outside the model's vocabulary of size {v}; "
             "the vocabulary may come from another run"
         )
-    table = np.empty((v, d + 1))
+    chunk_rows = max(1, min(_SCORE_BUFFER_ELEMS // v, n))
+    table, buffer, q1 = _scratch_views(
+        (v, d + 1), (chunk_rows, v), (chunk_rows, d + 1)
+    )
     table[:, :d] = params.target_vectors
     table[:, d] = params.biases
-    chunk_rows = max(1, min(_SCORE_BUFFER_ELEMS // v, n))
-    buffer = np.empty((chunk_rows, v))
-    q1 = np.ones((chunk_rows, d + 1))
+    q1[:, d] = 1.0
     out = np.empty(n)
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -469,6 +470,35 @@ def test_kernel_rescores_overflowing_and_underflowing_rows_in_place(
             got = evaluation._target_log_probs(params, contexts, targets)
     want = _reference_log_probs(params, contexts, targets)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_kernel_results_do_not_depend_on_earlier_calls_or_threads():
+    # Every call carves its table, score buffer and [qhat, 1] rows out of
+    # its thread's scratch, which the call before left dirty: a wider
+    # model, then more rows, then a narrower model, in two threads at once.
+    narrow = _kernel_params("full", np.float64)
+    wide = init_params(KERNEL_VOCAB, 9, 2, init_scale=0.8, seed=4, dtype=np.float64)
+    calls = [
+        (wide, _random_rows(BUFFER_ROWS + 1, seed=4)),
+        (narrow, _random_rows(3, seed=5)),
+        (wide, _random_rows(7, seed=6)),
+        (narrow, _random_rows(BUFFER_ROWS, seed=7)),
+    ]
+
+    def run(results):
+        for params, (contexts, targets) in calls:
+            results.append(evaluation._target_log_probs(params, contexts, targets))
+
+    here, there = [], []
+    worker = threading.Thread(target=run, args=(there,))
+    worker.start()
+    run(here)
+    worker.join()
+    assert len(there) == len(calls)
+    for got, got_elsewhere, (params, (contexts, targets)) in zip(here, there, calls):
+        want = _reference_log_probs(params, contexts, targets)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got_elsewhere, got)
 
 
 def test_completion_converts_once_and_matches_per_call_scores():

@@ -57,9 +57,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.words)
 
-    def id_of(self, token: str) -> int:
-        return self._index.get(token, UNK_ID)
-
 
 @dataclass
 class Dataset:

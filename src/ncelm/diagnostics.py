@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import estimators
 from .errors import ConfigError, DegenerateWeightsError, DivergenceError
@@ -22,7 +21,7 @@ from .estimators import (
     exact_nce_gradient,
     expected_ml_gradient,
 )
-from .model import LblParams, NormalizerStore, init_params, scores_all
+from .model import LblParams, NormalizerStore, exp_rows, init_params, scores_all
 from .noise import NoiseDistribution, from_counts, uniform
 from .trainer import TrainConfig, _batch_gradient, sgd_step, train
 from .corpus import extract_pairs
@@ -201,9 +200,8 @@ def nce_limit_gaps(seed: int = 0):
     )
     rng = np.random.default_rng(seed + 1000)
     context = batch[0][0]
-    normalizers.set_values(
-        context[None, :], [-logsumexp(scores_all(params, context[None, :])[0])]
-    )
+    _, log_z = exp_rows(scores_all(params, context[None, :]))
+    normalizers.set_values(context[None, :], -log_z[0])
 
     data_dist = rng.dirichlet(np.ones(params.vocab_size))
     ids = normalizers.register(context[None, :])

@@ -50,8 +50,10 @@ from .evaluation import _target_log_probs
 from .model import (
     LblParams,
     NormalizerStore,
+    exp_rows,
     full_distribution,
     predicted_representation_batch,
+    score_table,
     scores_all,
 )
 from .noise import NoiseDistribution, sample as noise_sample
@@ -237,9 +239,9 @@ def ml_gradient_and_objective(
     identically zero. The objective is the batch log-likelihood.
 
     One unnormalized softmax pass: the bias is a feature, so
-    [qhat, 1] @ [target_vectors, biases].T scores every word in one
-    float64 GEMM; each row is shifted by its max and exponentiated in
-    place but never divided by its total Z. Two GEMMs read the rows,
+    [qhat, 1] @ score_table.T scores every word in one float64 GEMM;
+    exp_rows shifts each row by its max and exponentiates it in place,
+    but the rows are never divided by their total Z. Two GEMMs read them,
     and 1/Z scales their small outputs: the (B, d+1) expected rows of
     [target_vectors, biases] and the (d+1, V) expected per-word sums of
     [qhat, 1].
@@ -249,17 +251,11 @@ def ml_gradient_and_objective(
     d = params.dim
     q1 = np.ones((b, d + 1))
     q1[:, :d] = predicted_representation_batch(params, contexts)
-    t1 = np.empty((params.vocab_size, d + 1))
-    t1[:, :d] = params.target_vectors
-    t1[:, d] = params.biases
+    t1 = score_table(params, np.empty((params.vocab_size, d + 1)))
 
     p = q1 @ t1.T
     target_scores = p[np.arange(b), targets]
-    shift = p.max(axis=1, keepdims=True)
-    np.subtract(p, shift, out=p)
-    np.exp(p, out=p)
-    z = p.sum(axis=1, keepdims=True)
-    log_z = (np.log(z) + shift)[:, 0]
+    z, log_z = exp_rows(p)
     objective = float(target_scores.sum() - log_z.sum())
 
     # (X.T @ p).T keeps p as the GEMM's right operand; p.T @ X took

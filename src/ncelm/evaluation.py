@@ -8,21 +8,20 @@ partition function is always summed out exactly.
 One kernel, _target_log_probs, computes ln P(target | context) row by
 row; perplexity, context_log_prob, completion and the exact-likelihood
 objective all go through it. It rejects word ids outside the model's
-vocabulary and fills one float64 [target_vectors, biases] table per
-call, so the bias is a feature column: each chunk of rows is scored as
-[qhat, 1] @ table.T by one GEMM into a buffer of at most
-_SCORE_BUFFER_ELEMS float64 values. Table and buffer sit in a scratch
-that each thread keeps from call to call. It then takes the target scores,
-exponentiates the buffer in place and logs the row sums, with no max
-shift: a model close to self-normalizing keeps every raw sum far inside
-float64's range. Only a row whose sum falls outside (_MIN_Z, _MAX_Z),
-where a term may have overflowed or the sum underflowed, is scored again
-through model.scores_all, the float64 scorer that sampling and the
-gradient oracles use, with the max shift. Completion ranks every
-problem of a call with one kernel call over only the rows whose
-log-probability differs between candidates; corpus.context_windows
-cuts the blank's window out of the problems' sentences, in the same
-layout as the training pairs.
+vocabulary, fills model.score_table once per call and scores each chunk
+of rows as [qhat, 1] @ table.T by one GEMM into a buffer of at most
+_SCORE_BUFFER_ELEMS float64 values. Table, buffer and [qhat, 1] rows
+sit in a scratch that each thread keeps from call to call. It then
+takes the target scores, exponentiates the buffer in place and logs the
+row sums, with no max shift: a model close to self-normalizing keeps
+every raw sum far inside float64's range. Only a row whose sum falls
+outside (_MIN_Z, _MAX_Z), where a term may have overflowed or the sum
+underflowed, is scored again from its [qhat, 1] row and normalized by
+model.exp_rows, the max shift of every full-vocabulary pass. Completion
+ranks every problem of a call with one kernel call over only the rows
+whose log-probability differs between candidates;
+corpus.context_windows cuts the blank's window out of the problems'
+sentences, in the same layout as the training pairs.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .corpus import (
     two_sided_offsets,
 )
 from .errors import ConfigError, IngestionError
-from .model import LblParams, predicted_representation_batch, scores_all
+from .model import LblParams, exp_rows, predicted_representation_batch, score_table
 
 BLANK_MARKER = "___"
 
@@ -91,10 +90,10 @@ def _target_log_probs(
     """ln P(target | context) for each row, explicitly normalized in float64.
 
     Scores as many rows at a time as fit in _SCORE_BUFFER_ELEMS into one
-    buffer that every chunk and call reuses, as [qhat, 1] @ [target_vectors,
-    biases].T, and takes the log of the raw row sum of exp. A row whose
-    sum leaves (_MIN_Z, _MAX_Z) is scored again through scores_all with
-    the max shift. Raises ConfigError when a context or target id is
+    buffer that every chunk and call reuses, as [qhat, 1] @ score_table.T,
+    and takes the log of the raw row sum of exp. A row whose sum leaves
+    (_MIN_Z, _MAX_Z) is scored again from its [qhat, 1] and normalized
+    by exp_rows. Raises ConfigError when a context or target id is
     outside the vocabulary.
     """
     n = targets.shape[0]
@@ -110,8 +109,7 @@ def _target_log_probs(
     table, buffer, q1 = _scratch_views(
         (v, d + 1), (chunk_rows, v), (chunk_rows, d + 1)
     )
-    table[:, :d] = params.target_vectors
-    table[:, d] = params.biases
+    score_table(params, table)
     q1[:, d] = 1.0
     out = np.empty(n)
     for lo in range(0, n, chunk_rows):
@@ -128,12 +126,10 @@ def _target_log_probs(
             out[lo:hi] = picked - np.log(z)
         redo = np.flatnonzero(~((z > _MIN_Z) & (z < _MAX_Z)))
         if redo.size:
-            # Score those rows again with the max shift.
-            rescored = scores_all(params, contexts[lo + redo], out=buffer[: redo.size])
-            rescored -= rescored.max(axis=1, keepdims=True)
+            # Score those rows again from their [qhat, 1], with the max shift.
+            rescored = np.matmul(q1[redo], table.T, out=buffer[: redo.size])
             picked = rescored[np.arange(redo.size), targets[lo + redo]]
-            np.exp(rescored, out=rescored)
-            out[lo + redo] = picked - np.log(rescored.sum(axis=1))
+            out[lo + redo] = picked - exp_rows(rescored)[1][:, 0]
     return out
 
 

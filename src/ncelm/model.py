@@ -3,15 +3,15 @@
 A context of word ids is mapped to a predicted feature vector by
 position-dependent linear transforms of per-word context vectors; a
 word's score is the dot product of that prediction with the word's
-target vector plus a per-word bias. scores_all scores every word in
-float64, and full_distribution takes its softmax; every full-vocabulary
-pass except the exact-likelihood training gradient goes through
-scores_all. That gradient scores with the bias as one more feature
-column of a single float64 GEMM and never normalizes its rows (see
-estimators.ml_gradient_and_objective). Per-context log-normalizers,
-when trained instead of computed, live in a NormalizerStore: dense
-float64 values indexed by entry id, found by binary search over
-sorted context keys.
+target vector plus a per-word bias. Every full-vocabulary pass scores
+with the bias as one more feature column, [qhat, 1] @ table.T, where
+score_table is the one code that fills the float64 (V, d+1) table
+[target_vectors, biases], and exp_rows is the one row max-shift:
+full_distribution, the evaluation kernel's re-scored rows, the
+exact-likelihood gradient and the large-k diagnostic all normalize
+with it. Per-context log-normalizers, when trained instead of
+computed, live in a NormalizerStore: dense float64 values indexed by
+entry id, found by binary search over sorted context keys.
 
 Parameters are stored in float32 by default for training speed;
 probability arithmetic always accumulates in float64. Oracle tests use
@@ -322,31 +322,47 @@ def predicted_representation_batch(
     return (transforms[None, :, :] * rows).sum(axis=1)
 
 
-def scores_all(params: LblParams, contexts: np.ndarray, out=None) -> np.ndarray:
-    """Float64 scores of every word for each context, shape (B, V).
+def score_table(params: LblParams, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 (V, d+1) table [target_vectors, biases] into out
+    and return it; [qhat, 1] @ table.T scores every word, the bias as one
+    more feature column."""
+    d = params.dim
+    out[:, :d] = params.target_vectors
+    out[:, d] = params.biases
+    return out
 
-    The one full-vocabulary scorer: evaluation, sampling and the
-    enumeration oracles all go through it. Writes into out when given.
-    Tables already stored in float64 are used without a copy.
+
+def exp_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shift each row of the float64 scores by its max and exponentiate
+    it in place. Returns the row sums z of the shifted exponentials and
+    the log-normalizers log(z) + max, both (B, 1)."""
+    shift = scores.max(axis=1, keepdims=True)
+    np.subtract(scores, shift, out=scores)
+    np.exp(scores, out=scores)
+    z = scores.sum(axis=1, keepdims=True)
+    return z, np.log(z) + shift
+
+
+def scores_all(params: LblParams, contexts: np.ndarray, out=None) -> np.ndarray:
+    """Float64 scores of every word for each context, shape (B, V), as
+    [qhat, 1] @ score_table(params).T; writes into out when given.
+
+    Sampling, full_distribution and the enumeration oracles score
+    through it; the evaluation kernel and the exact-likelihood gradient
+    run the same GEMM against a table they keep.
     """
-    qhat = predicted_representation_batch(params, contexts, np.float64)
-    scores = np.matmul(
-        qhat, params.target_vectors.astype(np.float64, copy=False).T, out=out
-    )
-    scores += params.biases.astype(np.float64, copy=False)
-    return scores
+    q1 = np.ones((len(contexts), params.dim + 1))
+    q1[:, :-1] = predicted_representation_batch(params, contexts, np.float64)
+    table = score_table(params, np.empty((params.vocab_size, params.dim + 1)))
+    return np.matmul(q1, table.T, out=out)
 
 
 def full_distribution(params: LblParams, contexts: np.ndarray) -> np.ndarray:
-    """Explicitly normalized next-word distributions, shape (B, V).
-
-    Softmax of scores_all, with the max shift, exp and normalization
-    done in place.
-    """
+    """Explicitly normalized next-word distributions, shape (B, V):
+    scores_all, exponentiated by exp_rows and divided by z in place."""
     probs = scores_all(params, contexts)
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    z, _ = exp_rows(probs)
+    probs /= z
     return probs
 
 
@@ -404,58 +420,53 @@ def save_checkpoint(path, params: LblParams, normalizers: NormalizerStore) -> No
 def load_checkpoint(path) -> tuple[LblParams, NormalizerStore]:
     """Read a checkpoint written by save_checkpoint, as float32 parameters.
 
-    A file cut short anywhere raises CheckpointFormatError naming the
+    Each tensor is read from the file straight into its own array. A
+    file cut short anywhere raises CheckpointFormatError naming the
     field it ends in.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointFormatError("bad magic bytes; not a model checkpoint")
-    off = len(CHECKPOINT_MAGIC)
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointFormatError("bad magic bytes; not a model checkpoint")
 
-    def take(nbytes: int, what: str) -> int:
-        """Offset of the next nbytes, which must all be in the file."""
-        nonlocal off
-        if len(data) - off < nbytes:
+        def read(shape, dtype, what: str) -> np.ndarray:
+            """The next field, read from the file straight into a new array."""
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            off = f.tell()
+            if size - off >= nbytes:
+                arr = np.empty(shape, dtype=dtype)
+                if f.readinto(arr) == nbytes:
+                    return arr
             raise CheckpointFormatError(
                 f"checkpoint truncated in {what}: needs {nbytes} bytes at "
-                f"offset {off}, file has {len(data) - off}"
+                f"offset {off}, file has {size - off}"
             )
-        off += nbytes
-        return off - nbytes
 
-    version, v, d, c, mflag, nflag = struct.unpack_from(
-        "<6I", data, take(struct.calcsize("<6I"), "header")
-    )
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported checkpoint format version {version} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
-        )
-    if mflag >= len(MATRIX_MODES) or nflag >= len(NORMALIZER_MODES):
-        raise CheckpointFormatError("unknown mode flag in checkpoint header")
-    matrix_mode = MATRIX_MODES[mflag]
+        version, v, d, c, mflag, nflag = read((6,), "<u4", "header").tolist()
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointFormatError(
+                f"unsupported checkpoint format version {version} "
+                f"(this build reads version {CHECKPOINT_VERSION})"
+            )
+        if mflag >= len(MATRIX_MODES) or nflag >= len(NORMALIZER_MODES):
+            raise CheckpointFormatError("unknown mode flag in checkpoint header")
+        matrix_mode = MATRIX_MODES[mflag]
 
-    def table(shape, what):
-        count = math.prod(shape)
-        start = take(4 * count, what)
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        return arr.reshape(shape).astype(np.float32)
+        def table(shape, what):
+            return read(shape, "<f4", what).astype(np.float32, copy=False)
 
-    ctx = table((v, d), "context_vectors")
-    tgt = table((v, d), "target_vectors")
-    tshape = (c, d, d) if matrix_mode == "full" else (c, d)
-    transforms = table(tshape, "context_transforms")
-    biases = table((v,), "biases")
-    params = LblParams(ctx, tgt, transforms, biases, matrix_mode, d, c)
+        ctx = table((v, d), "context_vectors")
+        tgt = table((v, d), "target_vectors")
+        tshape = (c, d, d) if matrix_mode == "full" else (c, d)
+        transforms = table(tshape, "context_transforms")
+        biases = table((v,), "biases")
+        params = LblParams(ctx, tgt, transforms, biases, matrix_mode, d, c)
 
-    normalizers = NormalizerStore(NORMALIZER_MODES[nflag])
-    if normalizers.mode == "per-context":
-        (count,) = struct.unpack_from("<I", data, take(4, "normalizer count"))
-        record = _record_dtype(c)
-        start = take(count * record.itemsize, "normalizer records")
-        records = np.frombuffer(data, dtype=record, count=count, offset=start)
-        normalizers.set_values(records["key"], records["value"])
-    if off != len(data):
-        raise CheckpointFormatError("trailing bytes after checkpoint payload")
+        normalizers = NormalizerStore(NORMALIZER_MODES[nflag])
+        if normalizers.mode == "per-context":
+            (count,) = read((1,), "<u4", "normalizer count").tolist()
+            records = read((count,), _record_dtype(c), "normalizer records")
+            normalizers.set_values(records["key"], records["value"])
+        if f.tell() != size:
+            raise CheckpointFormatError("trailing bytes after checkpoint payload")
     return params, normalizers

@@ -49,8 +49,7 @@ def test_build_vocab_orders_by_frequency_then_first_seen():
     vocab = build_vocab("a b b c c c x y".split())
     assert vocab.words == [UNK_TOKEN, OOS_TOKEN, "c", "b", "a", "x", "y"]
     assert vocab.counts.tolist() == [0, 0, 3, 2, 1, 1, 1]
-    assert vocab.id_of("c") == 2
-    assert vocab.id_of("never-seen") == UNK_ID
+    assert encode(vocab, ["c", "never-seen"]) == [2, UNK_ID]
 
 
 def test_build_vocab_folds_dropped_mass_into_unk():
@@ -78,7 +77,8 @@ def test_build_vocab_rejects_empty_stream():
 
 def test_encode_maps_oov_to_unk():
     vocab = build_vocab("a b".split())
-    assert encode(vocab, ["b", "z", "a"]) == [vocab.id_of("b"), UNK_ID, vocab.id_of("a")]
+    ids = encode(vocab, ["b", "z", "a"])
+    assert ids == [vocab.words.index("b"), UNK_ID, vocab.words.index("a")]
 
 
 def test_extract_pairs_oos_padding_by_hand():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import softmax
+from scipy.special import logsumexp, softmax
 
 from ncelm.errors import CheckpointFormatError, ConfigError
 from ncelm.model import (
@@ -14,11 +14,13 @@ from ncelm.model import (
     CHECKPOINT_VERSION,
     LblParams,
     NormalizerStore,
+    exp_rows,
     full_distribution,
     init_params,
     load_checkpoint,
     predicted_representation_batch,
     save_checkpoint,
+    score_table,
     scores_all,
 )
 
@@ -141,6 +143,10 @@ def test_scores_all_matches_per_row_float64(dtype, mode):
     assert scores_all(p, contexts, out=out) is out
     assert np.array_equal(out, got)
 
+    table = np.full((9, 5), np.nan)
+    assert score_table(p, table) is table
+    assert np.array_equal(table, np.column_stack([tgt64, p.biases.astype(np.float64)]))
+
 
 def test_full_distribution_rows_match_softmax():
     p = _random_params(np.float32, "full")
@@ -149,6 +155,17 @@ def test_full_distribution_rows_match_softmax():
     expected = softmax(scores_all(p, contexts), axis=1)
     assert dist.shape == (5, 9)
     assert np.allclose(dist, expected, rtol=1e-12, atol=0.0)
+
+    # Rows near +800 and -800 overflow or underflow a raw sum of exp.
+    scores = scores_all(p, contexts)
+    rows = np.concatenate([scores, scores + 800.0, scores - 800.0])
+    want_log_z = logsumexp(rows, axis=1, keepdims=True)
+    want_probs = softmax(rows, axis=1)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        z, log_z = exp_rows(rows)
+    assert z.shape == log_z.shape == (15, 1)
+    np.testing.assert_allclose(log_z, want_log_z, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rows / z, want_probs, rtol=1e-12, atol=0)
 
 
 def test_normalizer_store_modes():

@@ -8,16 +8,21 @@ partition function is always summed out exactly.
 One kernel, _target_log_probs, computes ln P(target | context) row by
 row; perplexity, context_log_prob, completion and the exact-likelihood
 objective all go through it. It rejects word ids outside the model's
-vocabulary, fills model.score_table once per call and scores each chunk
-of rows as [qhat, 1] @ table.T by one GEMM into a buffer of at most
+vocabulary and groups the rows by context (a lexsort of the context
+columns), because the normalizer belongs to the context: each distinct
+context is scored once, and every row that shares it takes its target's
+score from that context's scores and shares its log Z. It fills
+model.score_table once per call and scores each chunk of distinct
+contexts as [qhat, 1] @ table.T by one GEMM into a buffer of at most
 _SCORE_BUFFER_ELEMS float64 values. Table, buffer and [qhat, 1] rows
 sit in a scratch that each thread keeps from call to call. It then
 takes the target scores, exponentiates the buffer in place and logs the
 row sums, with no max shift: a model close to self-normalizing keeps
-every raw sum far inside float64's range. Only a row whose sum falls
-outside (_MIN_Z, _MAX_Z), where a term may have overflowed or the sum
-underflowed, is scored again from its [qhat, 1] row and normalized by
-model.exp_rows, the max shift of every full-vocabulary pass. Completion
+every raw sum far inside float64's range. Only a context whose sum
+falls outside (_MIN_Z, _MAX_Z), where a term may have overflowed or the
+sum underflowed, is scored again from its [qhat, 1] row and normalized
+by model.exp_rows, the max shift of every full-vocabulary pass. Results
+come back in the rows' own order. Completion
 ranks every problem of a call with one kernel call over only the rows
 whose log-probability differs between candidates;
 corpus.context_windows cuts the blank's window out of the problems'
@@ -89,12 +94,14 @@ def _target_log_probs(
 ) -> np.ndarray:
     """ln P(target | context) for each row, explicitly normalized in float64.
 
-    Scores as many rows at a time as fit in _SCORE_BUFFER_ELEMS into one
-    buffer that every chunk and call reuses, as [qhat, 1] @ score_table.T,
-    and takes the log of the raw row sum of exp. A row whose sum leaves
-    (_MIN_Z, _MAX_Z) is scored again from its [qhat, 1] and normalized
-    by exp_rows. Raises ConfigError when a context or target id is
-    outside the vocabulary.
+    Groups the rows by context and scores each distinct context once:
+    as many contexts at a time as fit in _SCORE_BUFFER_ELEMS into one
+    buffer that every chunk and call reuses, as [qhat, 1] @ score_table.T.
+    Every row of a context takes its target's score from that context's
+    buffer row, and all of them share its log Z, the log of the raw row
+    sum of exp. A context whose sum leaves (_MIN_Z, _MAX_Z) is scored
+    again from its [qhat, 1] and normalized by exp_rows. Raises
+    ConfigError when a context or target id is outside the vocabulary.
     """
     n = targets.shape[0]
     v = params.vocab_size
@@ -105,31 +112,41 @@ def _target_log_probs(
             f"word id {bad} is outside the model's vocabulary of size {v}; "
             "the vocabulary may come from another run"
         )
-    chunk_rows = max(1, min(_SCORE_BUFFER_ELEMS // v, n))
+    # Equal contexts are adjacent in lexsort order; each run of them is
+    # one distinct context, numbered by group in that order.
+    order = np.lexsort(contexts.T)
+    ordered = contexts[order]
+    first = np.ones(n, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    group = np.cumsum(first) - 1
+    starts = np.append(np.flatnonzero(first), n)
+    n_contexts = starts.size - 1
+    chunk_rows = max(1, min(_SCORE_BUFFER_ELEMS // v, n_contexts))
     table, buffer, q1 = _scratch_views(
         (v, d + 1), (chunk_rows, v), (chunk_rows, d + 1)
     )
     score_table(params, table)
     q1[:, d] = 1.0
     out = np.empty(n)
-    for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        rows = hi - lo
-        q1[:rows, :d] = predicted_representation_batch(
-            params, contexts[lo:hi], np.float64
+    for lo in range(0, n_contexts, chunk_rows):
+        hi = min(lo + chunk_rows, n_contexts)
+        members = order[starts[lo] : starts[hi]]
+        local = group[starts[lo] : starts[hi]] - lo
+        q1[: hi - lo, :d] = predicted_representation_batch(
+            params, ordered[starts[lo:hi]], np.float64
         )
-        scores = np.matmul(q1[:rows], table.T, out=buffer[:rows])
-        picked = scores[np.arange(rows), targets[lo:hi]]
+        scores = np.matmul(q1[: hi - lo], table.T, out=buffer[: hi - lo])
+        picked = scores[local, targets[members]]
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
             np.exp(scores, out=scores)
             z = scores.sum(axis=1)
-            out[lo:hi] = picked - np.log(z)
+            log_z = np.log(z)
         redo = np.flatnonzero(~((z > _MIN_Z) & (z < _MAX_Z)))
         if redo.size:
-            # Score those rows again from their [qhat, 1], with the max shift.
+            # Score those contexts again from their [qhat, 1], with the max shift.
             rescored = np.matmul(q1[redo], table.T, out=buffer[: redo.size])
-            picked = rescored[np.arange(redo.size), targets[lo + redo]]
-            out[lo + redo] = picked - exp_rows(rescored)[1][:, 0]
+            log_z[redo] = exp_rows(rescored)[1][:, 0]
+        out[members] = picked - log_z[local]
     return out
 
 
@@ -194,11 +211,12 @@ def _candidate_totals(
 
     uni: filling the blank changes only the targets at positions blank ..
     blank + c (clipped at the sentence end): the candidate is the target
-    of the first and in the context of the rest. Every other position of
-    the sentence adds the same term to all candidates, so its row is left
-    out. bi: one row per candidate, the [h before, h after] context
-    around the blank with the candidate as target. width is c for uni and
-    h for bi.
+    of the first and in the context of the rest. The first row's context
+    is the same for all candidates, and the kernel scores it once. Every
+    other position of the sentence adds the same term to all candidates,
+    so its row is left out. bi: one row per candidate, the [h before,
+    h after] context around the blank with the candidate as target.
+    width is c for uni and h for bi.
     """
     lengths = np.array([len(p.sentence) for p in problems], dtype=np.int64)
     blanks = np.array([p.blank_position for p in problems], dtype=np.int64)

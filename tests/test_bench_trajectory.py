@@ -12,8 +12,9 @@ bench_trajectory = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_trajectory)
 
 
-def _result(tmp_path, seed, revision, rate, correct=True):
-    """A hand-made perfbench result file with two end-to-end metrics."""
+def _result(tmp_path, seed, revision, rate, correct=True, setups=(0.1, 0.3, 0.2)):
+    """A hand-made perfbench result file with two end-to-end metrics and
+    the run's list of timed set-ups."""
     run = {
         "correct": correct,
         "attempted": 10,
@@ -26,6 +27,7 @@ def _result(tmp_path, seed, revision, rate, correct=True):
             "workload": "ml-eval", "seed": seed, "git_revision": revision,
             "nproc": 2, "blas_threads": 2,
         },
+        "setup_s": list(setups),
     }
     path = tmp_path / f"ml-eval-{seed}-trace0.json"
     path.write_text(json.dumps(run))
@@ -57,6 +59,21 @@ def test_entries_hold_median_quartiles_and_replace_their_revision(tmp_path):
         ("change", "bbb", 2), ("parent again", "aaa", 1)]
     assert entries[0]["failed"] == 1
     assert entries[0]["metrics"]["complete_problems_per_s"]["q1"] == 700.0
+
+
+def test_entries_list_each_passed_runs_setup_median_sorted(tmp_path):
+    # Two runs in the fast set-up mode and one in the slow mode, given out
+    # of order, and a failed run that is left out.
+    files = [
+        _result(tmp_path, 1, "aaa", 90.0, setups=(0.105, 0.11, 0.1)),
+        _result(tmp_path, 2, "aaa", 90.0, setups=(0.07, 0.06, 0.065)),
+        _result(tmp_path, 3, "aaa", 0, False, setups=(0.2,)),
+        _result(tmp_path, 4, "aaa", 90.0, setups=(0.062, 0.064, 0.06, 0.07)),
+    ]
+    bench_trajectory.main(["--label", "x", "--out-dir", str(tmp_path),
+                           *map(str, files)])
+    (entry,) = json.loads((tmp_path / "BENCH_ml-eval.json").read_text())["entries"]
+    assert entry["setup_s_per_run"] == pytest.approx([0.063, 0.065, 0.105])
 
 
 def test_rejects_traced_results(tmp_path):

@@ -280,6 +280,32 @@ def test_completion_makes_one_kernel_call(monkeypatch, count):
     assert calls == [5 * count]
 
 
+def test_kernel_scores_each_distinct_context_once(monkeypatch):
+    # The GEMM scores one row per predicted representation, so counting
+    # the rows of predicted_representation_batch counts the rows scored.
+    params = init_params(30, 3, 2, seed=4, dtype=np.float64)
+    scored = []
+    real = evaluation.predicted_representation_batch
+
+    def counting(params, contexts, dtype=None):
+        scored.append(len(contexts))
+        return real(params, contexts, dtype)
+
+    monkeypatch.setattr(evaluation, "predicted_representation_batch", counting)
+    # Uni at c=2: the blank's row has the same context for all five
+    # candidates, and each of the two rows after it has five contexts.
+    problem = CompletionProblem([3, 4, 5, 6, 7, 8], 2, [10, 11, 12, 13, 14])
+    completion_accuracy(params, [problem], "uni")
+    assert sum(scored) == 1 + 5 + 5
+
+    scored.clear()
+    dataset = extract_pairs([[5, 9, 2, 7], [5, 9, 2, 7], [5, 9, 3]], 2)
+    distinct = len(np.unique(dataset.contexts, axis=0))
+    assert distinct < len(dataset)
+    perplexity(params, dataset)
+    assert sum(scored) == distinct
+
+
 def test_completion_problem_validation():
     with pytest.raises(ConfigError):
         CompletionProblem([1, 2], 5, [0, 1, 2, 3, 4])
@@ -377,15 +403,32 @@ KERNEL_VOCAB = 2000
 BUFFER_ROWS = evaluation._SCORE_BUFFER_ELEMS // KERNEL_VOCAB
 
 
-def _kernel_params(matrix_mode, dtype, bias_offset=0.0, seed=0):
+def _kernel_params(matrix_mode, dtype, bias_offset=0.0, seed=0,
+                   vocab_size=KERNEL_VOCAB, context_size=2):
     """Random parameters with non-trivial transforms and biases."""
     rng = np.random.default_rng(seed)
     params = init_params(
-        KERNEL_VOCAB, 5, 2, matrix_mode=matrix_mode, init_scale=0.8,
+        vocab_size, 5, context_size, matrix_mode=matrix_mode, init_scale=0.8,
         seed=seed, dtype=np.float64,
     )
     params.context_transforms += rng.normal(0.0, 0.3, params.context_transforms.shape)
-    params.biases[:] = bias_offset + rng.normal(0.0, 2.0, KERNEL_VOCAB)
+    params.biases[:] = bias_offset + rng.normal(0.0, 2.0, vocab_size)
+    return params.astype(dtype)
+
+
+def _extreme_params(dtype):
+    """Parameters in which words 1 and 2 lift or sink every score of a
+    context made of them by about 800, through a coordinate that every
+    target vector shares, so the raw sum of exp of [1, 1] overflows and
+    that of [2, 2] underflows."""
+    params = _kernel_params("full", np.float64)
+    params.context_vectors[:, 0] = 0.0
+    params.context_vectors[1, 0] = 400.0
+    params.context_vectors[2, 0] = -400.0
+    params.context_transforms[:, 0, :] = 0.0
+    params.context_transforms[:, :, 0] = 0.0
+    params.context_transforms[:, 0, 0] = 1.0
+    params.target_vectors[:, 0] = 1.0
     return params.astype(dtype)
 
 
@@ -412,7 +455,7 @@ def _random_rows(n, seed=1):
 @pytest.mark.parametrize("matrix_mode", ["full", "diagonal"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize(
-    "n_rows", [1, BUFFER_ROWS - 1, BUFFER_ROWS, BUFFER_ROWS + 1]
+    "n_rows", [0, 1, BUFFER_ROWS - 1, BUFFER_ROWS, BUFFER_ROWS + 1]
 )
 def test_kernel_matches_full_matrix_logsumexp(matrix_mode, dtype, n_rows):
     params = _kernel_params(matrix_mode, dtype)
@@ -445,25 +488,57 @@ def test_kernel_handles_scores_near_1e3_without_overflow(offset):
 def test_kernel_rescores_overflowing_and_underflowing_rows_in_place(
     monkeypatch, chunk_rows
 ):
-    # Words 1 and 2 lift or sink every score of a context made of them by
-    # about 800, through a coordinate that every target vector shares, so
-    # the raw sum of exp of their rows overflows or underflows.
-    params = _kernel_params("full", np.float64)
-    params.context_vectors[:, 0] = 0.0
-    params.context_vectors[1, 0] = 400.0
-    params.context_vectors[2, 0] = -400.0
-    params.context_transforms[:, 0, :] = 0.0
-    params.context_transforms[:, :, 0] = 0.0
-    params.context_transforms[:, 0, 0] = 1.0
-    params.target_vectors[:, 0] = 1.0
+    params = _extreme_params(np.float64)
     contexts, targets = _random_rows(12, seed=3)
     contexts[contexts <= 2] = 3
+    contexts[:3] = [[0, 0], [0, 1], [1, 0]]
     contexts[[3, 9]] = 1
     contexts[[4, 10]] = 2
     if chunk_rows is not None:
-        # Chunks of rows 0-3, 4-7 and 8-11: rows 3 and 4 sit on either side
-        # of a boundary, and rows 9 and 10 share a chunk with ordinary rows.
+        # Chunks of 4 distinct contexts, in lexicographic order by either
+        # column first: [0, 0], [0, 1] and [1, 0] sort before the
+        # overflowing [1, 1] and the underflowing [2, 2], and the other
+        # contexts, all of words above 2, after them. So [1, 1] ends the
+        # first chunk and [2, 2] opens the second, each beside ordinary
+        # contexts, and rows 9 and 10 repeat them.
         monkeypatch.setattr(evaluation, "_SCORE_BUFFER_ELEMS", chunk_rows * KERNEL_VOCAB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = evaluation._target_log_probs(params, contexts, targets)
+    want = _reference_log_probs(params, contexts, targets)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("vocab_size, context_size", [(KERNEL_VOCAB, 2), (600, 7)])
+def test_kernel_scores_contexts_repeated_across_chunks(
+    monkeypatch, dtype, vocab_size, context_size
+):
+    # 10 distinct contexts scattered over 40 rows, scored 3 contexts to a
+    # chunk. At c=7, V=600, V**c is past int64, so no packed integer key
+    # of a context would fit.
+    params = _kernel_params("full", dtype, vocab_size=vocab_size,
+                            context_size=context_size)
+    rng = np.random.default_rng(12)
+    distinct = rng.integers(0, vocab_size, size=(10, context_size))
+    contexts = distinct[rng.permutation(np.arange(40) % 10)]
+    targets = rng.integers(0, vocab_size, size=40)
+    monkeypatch.setattr(evaluation, "_SCORE_BUFFER_ELEMS", 3 * vocab_size)
+    got = evaluation._target_log_probs(params, contexts, targets)
+    want = _reference_log_probs(params, contexts, targets)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernel_shares_a_rescored_normalizer_across_one_context(dtype):
+    # Five rows of the overflowing context [1, 1], each with its own
+    # target, among ordinary rows.
+    params = _extreme_params(dtype)
+    contexts, targets = _random_rows(9, seed=13)
+    contexts[contexts <= 2] = 3
+    contexts[[0, 2, 4, 6, 8]] = 1
+    targets[[0, 2, 4, 6, 8]] = [5, 17, 400, 1999, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -9,8 +9,11 @@ grouped by (workload, git revision), and each group becomes one entry of
 entry holds the label, the revision, ``nproc``, the BLAS thread count,
 the seeds, the number of runs and of failed runs, and for each
 end-to-end metric the median, first and third quartiles and unit over
-the runs that passed their checks. An entry for a revision already in
-the file is replaced; any other is appended.
+the runs that passed their checks. It also holds those runs' own
+``setup_s`` medians, sorted, one per run from its saved list of timed
+set-ups: set-up time is bimodal from process to process on some hosts,
+and a set split between the two modes shows there. An entry for a
+revision already in the file is replaced; any other is appended.
 
 Entries compare only within one interleaved set: runs of the revisions
 being compared, alternated on the same host at the same time. The
@@ -62,6 +65,7 @@ def entry(label: str, runs: list[dict]) -> dict:
             name: dict(zip(("median", "q1", "q3"), _quartiles(values)), unit=unit)
             for name, (values, unit) in metrics.items()
         },
+        "setup_s_per_run": sorted(statistics.median(run["setup_s"]) for run in passed),
     }
 
 

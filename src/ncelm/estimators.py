@@ -21,8 +21,10 @@ Whether NCE draws its noise per example or once for the batch changes
 only how those two gather and multiply the target rows; the NCE
 objective and coefficients are written once for both.
 
-Exact ML makes one unnormalized softmax pass over the (B, V) score
-matrix; 1/Z scales only the small outputs of the GEMMs that read it.
+Exact ML makes one unnormalized softmax pass over the (U, V) score
+matrix of the batch's U distinct contexts (about 0.70 per row in the
+ml-eval minibatches of B=1000); 1/Z scales only the small outputs of
+the GEMMs that read it.
 
 Sign convention: gradients point in the ascent direction of the
 estimator's objective (log-likelihood for ML and IS, the binary
@@ -52,6 +54,7 @@ from .model import (
     NormalizerStore,
     exp_rows,
     full_distribution,
+    group_contexts,
     predicted_representation_batch,
     score_table,
     scores_all,
@@ -238,34 +241,44 @@ def ml_gradient_and_objective(
     normalized distribution, so the per-context normalizer gradient is
     identically zero. The objective is the batch log-likelihood.
 
-    One unnormalized softmax pass: the bias is a feature, so
-    [qhat, 1] @ score_table.T scores every word in one float64 GEMM;
+    The normalizer belongs to the context, so the rows are grouped by
+    context (model.group_contexts) and the pass runs over the U distinct
+    contexts only: the bias is a feature, so [qhat, 1] @ score_table.T
+    scores every word for each distinct context in one float64 GEMM;
     exp_rows shifts each row by its max and exponentiates it in place,
-    but the rows are never divided by their total Z. Two GEMMs read them,
-    and 1/Z scales their small outputs: the (B, d+1) expected rows of
-    [target_vectors, biases] and the (d+1, V) expected per-word sums of
-    [qhat, 1].
+    but the rows are never divided by their total Z. Two GEMMs read
+    them, and 1/Z scales their small outputs: the (U, d+1) expected
+    rows of [target_vectors, biases] and the (d+1, V) expected per-word
+    sums of [qhat, 1], each context's row weighted by its row count.
+    Every row reads its target score, log Z and expected row through
+    its context's group id, and the objective sums over rows in row
+    order.
     """
     contexts, targets = _nonempty(batch)
     b = targets.shape[0]
     d = params.dim
-    q1 = np.ones((b, d + 1))
-    q1[:, :d] = predicted_representation_batch(params, contexts)
+    order, group, starts = group_contexts(contexts)
+    row_group = np.empty(b, dtype=group.dtype)
+    row_group[order] = group
+    counts = np.diff(starts)
+    q1 = np.ones((counts.size, d + 1))
+    q1[:, :d] = predicted_representation_batch(params, contexts[order[starts[:-1]]])
     t1 = score_table(params, np.empty((params.vocab_size, d + 1)))
 
     p = q1 @ t1.T
-    target_scores = p[np.arange(b), targets]
+    target_scores = p[row_group, targets]
     z, log_z = exp_rows(p)
-    objective = float(target_scores.sum() - log_z.sum())
+    objective = float(target_scores.sum() - log_z[row_group].sum())
 
     # (X.T @ p).T keeps p as the GEMM's right operand; p.T @ X took
     # about twice as long at B=1000, V=7,866, d=100.
     expected_t = (t1.T @ p.T).T[:, :d] / z
-    g_qhat = t1[targets, :d] - expected_t
-    # Row v: -sum_b p[b, v] / Z_b * [qhat_b, 1] plus the observed rows:
-    # target gradients in the first d columns, biases in the last.
-    word_grads = ((q1 / -z).T @ p).T
-    ids, observed = _rank1_rowsum(targets[:, None], np.ones((b, 1)), q1)
+    g_qhat = t1[targets, :d] - expected_t[row_group]
+    # Row v: -sum_u count_u * p[u, v] / Z_u * [qhat_u, 1] plus the
+    # observed rows: target gradients in the first d columns, biases in
+    # the last.
+    word_grads = ((q1 / -z * counts[:, None]).T @ p).T
+    ids, observed = _rank1_rowsum(targets[:, None], np.ones((b, 1)), q1[row_group])
     word_grads[ids] += observed
 
     dtype = params.dtype

@@ -49,7 +49,13 @@ from .corpus import (
     two_sided_offsets,
 )
 from .errors import ConfigError, IngestionError
-from .model import LblParams, exp_rows, predicted_representation_batch, score_table
+from .model import (
+    LblParams,
+    exp_rows,
+    group_contexts,
+    predicted_representation_batch,
+    score_table,
+)
 
 BLANK_MARKER = "___"
 
@@ -112,14 +118,7 @@ def _target_log_probs(
             f"word id {bad} is outside the model's vocabulary of size {v}; "
             "the vocabulary may come from another run"
         )
-    # Equal contexts are adjacent in lexsort order; each run of them is
-    # one distinct context, numbered by group in that order.
-    order = np.lexsort(contexts.T)
-    ordered = contexts[order]
-    first = np.ones(n, dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    group = np.cumsum(first) - 1
-    starts = np.append(np.flatnonzero(first), n)
+    order, group, starts = group_contexts(contexts)
     n_contexts = starts.size - 1
     chunk_rows = max(1, min(_SCORE_BUFFER_ELEMS // v, n_contexts))
     table, buffer, q1 = _scratch_views(
@@ -133,7 +132,7 @@ def _target_log_probs(
         members = order[starts[lo] : starts[hi]]
         local = group[starts[lo] : starts[hi]] - lo
         q1[: hi - lo, :d] = predicted_representation_batch(
-            params, ordered[starts[lo:hi]], np.float64
+            params, contexts[order[starts[lo:hi]]], np.float64
         )
         scores = np.matmul(q1[: hi - lo], table.T, out=buffer[: hi - lo])
         picked = scores[local, targets[members]]

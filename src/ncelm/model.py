@@ -322,6 +322,25 @@ def predicted_representation_batch(
     return (transforms[None, :, :] * rows).sum(axis=1)
 
 
+def group_contexts(contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of an (n, c) context array by context.
+
+    Returns (order, group, starts). order sorts the rows so that equal
+    contexts are adjacent (a lexsort of the context columns); each run
+    of them is one distinct context, numbered by group[i] for row
+    order[i] in that order. Group g is order[starts[g]:starts[g + 1]],
+    and starts[-1] == n.
+    """
+    n = len(contexts)
+    order = np.lexsort(contexts.T)
+    ordered = contexts[order]
+    first = np.ones(n, dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    group = np.cumsum(first) - 1
+    starts = np.append(np.flatnonzero(first), n)
+    return order, group, starts
+
+
 def score_table(params: LblParams, out: np.ndarray) -> np.ndarray:
     """Fill the float64 (V, d+1) table [target_vectors, biases] into out
     and return it; [qhat, 1] @ table.T scores every word, the bias as one

@@ -156,6 +156,66 @@ def test_one_pass_ml_kernel_matches_the_dense_formula_in_float32(matrix_mode):
         assert np.array_equal(got, want), name
 
 
+def _ml_repeated_case(matrix_mode, dtype):
+    """_ml_kernel_case's parameters with a batch in which 19 of the 25
+    rows share the three contexts of rows 0-2, so it has 9 distinct
+    contexts: the context of row 0 always with target 3, that of row 1
+    with target 7 twice among others, and that of row 2 with a
+    different target in each row."""
+    params, (contexts, targets) = _ml_kernel_case(matrix_mode, dtype)
+    contexts[5:20] = contexts[[0, 1, 2] * 5]
+    targets[[0, 5, 8, 11, 14, 17]] = 3
+    targets[[1, 6]] = 7
+    targets[[2, 7, 10, 13, 16, 19]] = [1, 2, 4, 5, 6, 8]
+    return params, (contexts, targets)
+
+
+@pytest.mark.parametrize("matrix_mode", ["full", "diagonal"])
+def test_ml_kernel_on_repeated_contexts_matches_the_dense_formula(matrix_mode):
+    params, batch = _ml_repeated_case(matrix_mode, np.float64)
+    assert len(np.unique(batch[0], axis=0)) == 9
+    grad, objective = ml_gradient_and_objective(params, NormalizerStore(), batch)
+    ref, ref_objective = _dense_ml_reference(params, batch)
+    assert objective == ref_objective
+    for name in _GRADIENT_FIELDS:
+        got, want = getattr(grad, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    params, batch = _ml_repeated_case(matrix_mode, np.float32)
+    grad, objective = ml_gradient_and_objective(params, NormalizerStore(), batch)
+    ref, ref_objective = _dense_ml_reference(params, batch)
+    assert objective == ref_objective
+    for name in _GRADIENT_FIELDS:
+        got, want = getattr(grad, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("layout", ["one context", "all distinct", "mixed"])
+def test_ml_gradient_scores_each_distinct_context_once(monkeypatch, layout):
+    # The score GEMM has one row per predicted representation, so
+    # counting the rows of predicted_representation_batch counts the
+    # rows scored.
+    params, (contexts, targets) = _ml_repeated_case("full", np.float64)
+    distinct = {"one context": 1, "all distinct": len(targets), "mixed": 9}[layout]
+    if layout == "one context":
+        contexts[:] = contexts[0]
+    elif layout == "all distinct":
+        contexts = np.arange(contexts.size).reshape(contexts.shape) % params.vocab_size
+    assert len(np.unique(contexts, axis=0)) == distinct
+    scored = []
+    real = estimators.predicted_representation_batch
+
+    def counting(params, contexts, dtype=None):
+        scored.append(len(contexts))
+        return real(params, contexts, dtype)
+
+    monkeypatch.setattr(estimators, "predicted_representation_batch", counting)
+    ml_gradient_and_objective(params, NormalizerStore(), (contexts, targets))
+    assert sum(scored) == distinct
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_finite_difference_agreement_all_estimators(seed):
     errors = gradient_check(seed)

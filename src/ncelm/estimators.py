@@ -22,9 +22,9 @@ only how those two gather and multiply the target rows; the NCE
 objective and coefficients are written once for both.
 
 Exact ML makes one unnormalized softmax pass over the (U, V) score
-matrix of the batch's U distinct contexts (about 0.70 per row in the
-ml-eval minibatches of B=1000); 1/Z scales only the small outputs of
-the GEMMs that read it.
+matrix of the batch's U distinct contexts (0.66-0.74 per row in the
+benchmark's ml-eval minibatches of B=1000); 1/Z scales only the small
+outputs of the GEMMs that read it.
 
 Sign convention: gradients point in the ascent direction of the
 estimator's objective (log-likelihood for ML and IS, the binary

@@ -8,10 +8,11 @@ partition function is always summed out exactly.
 One kernel, _target_log_probs, computes ln P(target | context) row by
 row; perplexity, context_log_prob, completion and the exact-likelihood
 objective all go through it. It rejects word ids outside the model's
-vocabulary and groups the rows by context (a lexsort of the context
-columns), because the normalizer belongs to the context: each distinct
-context is scored once, and every row that shares it takes its target's
-score from that context's scores and shares its log Z. It fills
+vocabulary and groups the rows by context (model.group_contexts, a
+lexsort of the context columns), because the normalizer belongs to the
+context: each distinct context is scored once, and every row that
+shares it takes its target's score from that context's scores and
+shares its log Z. It fills
 model.score_table once per call and scores each chunk of distinct
 contexts as [qhat, 1] @ table.T by one GEMM into a buffer of at most
 _SCORE_BUFFER_ELEMS float64 values. Table, buffer and [qhat, 1] rows

@@ -9,9 +9,11 @@ score_table is the one code that fills the float64 (V, d+1) table
 [target_vectors, biases], and exp_rows is the one row max-shift:
 full_distribution, the evaluation kernel's re-scored rows, the
 exact-likelihood gradient and the large-k diagnostic all normalize
-with it. Per-context log-normalizers, when trained instead of
-computed, live in a NormalizerStore: dense float64 values indexed by
-entry id, found by binary search over sorted context keys.
+with it. group_contexts is the one grouping of rows by context, which
+the evaluation kernel and the exact-likelihood gradient share to score
+each distinct context once. Per-context log-normalizers, when trained
+instead of computed, live in a NormalizerStore: dense float64 values
+indexed by entry id, found by binary search over sorted context keys.
 
 Parameters are stored in float32 by default for training speed;
 probability arithmetic always accumulates in float64. Oracle tests use

@@ -129,35 +129,19 @@ def build_vocab(
     """
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    n = 0
-    for tok in token_stream:
-        counts[tok] += 1
-        if tok not in first_seen:
-            first_seen[tok] = n
-        n += 1
-    if n == 0:
+    counts = Counter(token_stream)
+    if not counts:
         raise ConfigError("token stream is empty")
-
-    reserved_counts = {UNK_TOKEN: counts.pop(UNK_TOKEN, 0), OOS_TOKEN: counts.pop(OOS_TOKEN, 0)}
+    reserved = [counts.pop(UNK_TOKEN, 0), counts.pop(OOS_TOKEN, 0)]
+    # A Counter lists tokens in first-occurrence order, so a stable sort
+    # on count breaks ties by first occurrence.
     eligible = [t for t in counts if counts[t] >= min_count]
-    eligible.sort(key=lambda t: (-counts[t], first_seen[t]))
-    if max_size is not None:
-        kept, dropped = eligible[:max_size], eligible[max_size:]
-    else:
-        kept, dropped = eligible, []
-
-    words = [UNK_TOKEN, OOS_TOKEN] + kept
-    unk_mass = reserved_counts[UNK_TOKEN]
-    unk_mass += sum(counts[t] for t in dropped)
-    unk_mass += sum(c for t, c in counts.items() if c < min_count)
-    cvec = np.zeros(len(words), dtype=np.int64)
-    cvec[UNK_ID] = unk_mass
-    cvec[OOS_ID] = reserved_counts[OOS_TOKEN]
-    for i, t in enumerate(kept, start=2):
-        cvec[i] = counts[t]
-    return Vocabulary(words=words, counts=cvec)
+    kept = sorted(eligible, key=counts.__getitem__, reverse=True)[:max_size]
+    cvec = np.zeros(len(kept) + 2, dtype=np.int64)
+    cvec[2:] = [counts[t] for t in kept]
+    cvec[UNK_ID] = reserved[0] + counts.total() - cvec[2:].sum()
+    cvec[OOS_ID] = reserved[1]
+    return Vocabulary(words=[UNK_TOKEN, OOS_TOKEN] + kept, counts=cvec)
 
 
 def encode(vocab: Vocabulary, tokens: Iterable[str]) -> list[int]:
@@ -264,15 +248,11 @@ def out_of_range_id(vocab_size: int, *id_arrays: np.ndarray) -> int | None:
     return int(largest) if largest >= vocab_size else None
 
 
-def unigram_counts(source, vocab: Vocabulary) -> np.ndarray:
-    """Count target-word occurrences per id over a dataset or id stream."""
-    if isinstance(source, Dataset):
-        ids = source.targets
-    else:
-        ids = np.fromiter((int(i) for i in source), dtype=np.int64)
-    if out_of_range_id(vocab.size, ids) is not None:
+def unigram_counts(dataset: Dataset, vocab: Vocabulary) -> np.ndarray:
+    """Count target-word occurrences per id over a dataset."""
+    if out_of_range_id(vocab.size, dataset.targets) is not None:
         raise ConfigError("id out of vocabulary range")
-    return np.bincount(ids, minlength=vocab.size).astype(np.int64)
+    return np.bincount(dataset.targets, minlength=vocab.size).astype(np.int64)
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

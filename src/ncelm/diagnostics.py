@@ -55,8 +55,8 @@ def flatten_gradient(
 def finite_difference_gradient(
     objective_fn,
     params: LblParams,
-    normalizers: NormalizerStore | None = None,
-    norm_ids=(),
+    normalizers: NormalizerStore,
+    norm_ids,
 ) -> np.ndarray:
     """Central differences of objective_fn over every parameter and the
     normalizer entries with the given entry ids, in flatten_gradient's
@@ -68,8 +68,6 @@ def finite_difference_gradient(
     params and normalizers, probed one coordinate at a time and restored
     after each probe, so the caller's params and store keep their values.
     """
-    if normalizers is None:
-        normalizers = NormalizerStore(mode="fixed-one")
     work = params.astype(np.float64)
     store = normalizers.copy()
 
@@ -105,25 +103,21 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def random_instance(
     seed: int,
-    vocab_size: int | None = None,
-    dim: int | None = None,
-    context_size: int | None = None,
     batch_size: int = 4,
-    matrix_mode: str | None = None,
     normalizer_mode: str = "per-context",
 ):
     """A small random model, batch, and noise distribution for checks,
     plus the normalizer entry ids of the batch's distinct contexts in
     sorted order (empty outside per-context mode).
 
-    Shapes default to random draws within desk-scale bounds (V <= 50,
-    d <= 8, c <= 3); matrix mode alternates with the seed unless pinned.
+    Shapes are random draws within desk-scale bounds (V <= 50, d <= 8,
+    c <= 3); matrix mode alternates with the seed.
     """
     rng = np.random.default_rng(seed)
-    v = vocab_size if vocab_size is not None else int(rng.integers(8, 51))
-    d = dim if dim is not None else int(rng.integers(2, 9))
-    c = context_size if context_size is not None else int(rng.integers(1, 4))
-    mode = matrix_mode if matrix_mode is not None else ("full", "diagonal")[seed % 2]
+    v = int(rng.integers(8, 51))
+    d = int(rng.integers(2, 9))
+    c = int(rng.integers(1, 4))
+    mode = ("full", "diagonal")[seed % 2]
     if mode == "full":
         transforms = rng.normal(0.0, 0.5, size=(c, d, d))
     else:
@@ -148,7 +142,7 @@ def random_instance(
     return params, normalizers, (contexts, targets), noise, norm_ids
 
 
-def gradient_check(seed: int = 0) -> dict[str, float]:
+def gradient_check(seed: int) -> dict[str, float]:
     """Max relative error of each estimator's gradient against central
     finite differences of its own objective, on random_instance(seed)
     with k=3 noise samples, frozen by replaying one rng seed. Includes
@@ -187,7 +181,7 @@ def gradient_check(seed: int = 0) -> dict[str, float]:
     }
 
 
-def nce_limit_gaps(seed: int = 0):
+def nce_limit_gaps(seed: int):
     """Relative gap between the contrastive expected gradient and the ML
     expected gradient as the noise multiple k grows over NCE_LIMIT_K_GRID.
 
@@ -195,9 +189,7 @@ def nce_limit_gaps(seed: int = 0):
     per-context normalizer, so the unnormalized model is in fact
     normalized and the large-k limit is the ML expected gradient.
     """
-    params, normalizers, batch, noise, _ = random_instance(
-        seed, normalizer_mode="per-context"
-    )
+    params, normalizers, batch, noise, _ = random_instance(seed)
     rng = np.random.default_rng(seed + 1000)
     context = batch[0][0]
     _, log_z = exp_rows(scores_all(params, context[None, :]))
@@ -346,7 +338,7 @@ def benchmark_update(
     return float(np.median(timings))
 
 
-def run_diagnostic(name: str, seed: int = 0) -> tuple[dict, bool]:
+def run_diagnostic(name: str, seed: int) -> tuple[dict, bool]:
     """Execute one named diagnostic; returns (report, passed)."""
     if name == "gradcheck":
         report = {}

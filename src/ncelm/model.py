@@ -364,18 +364,19 @@ def exp_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, np.log(z) + shift
 
 
-def scores_all(params: LblParams, contexts: np.ndarray, out=None) -> np.ndarray:
+def scores_all(params: LblParams, contexts: np.ndarray) -> np.ndarray:
     """Float64 scores of every word for each context, shape (B, V), as
-    [qhat, 1] @ score_table(params).T; writes into out when given.
+    [qhat, 1] @ score_table(params).T.
 
     Sampling, full_distribution and the enumeration oracles score
-    through it; the evaluation kernel and the exact-likelihood gradient
-    run the same GEMM against a table they keep.
+    through it. The evaluation kernel runs the same GEMM against the
+    table it keeps in its per-thread scratch, and the exact-likelihood
+    gradient against a table it fills afresh every step.
     """
     q1 = np.ones((len(contexts), params.dim + 1))
     q1[:, :-1] = predicted_representation_batch(params, contexts, np.float64)
     table = score_table(params, np.empty((params.vocab_size, params.dim + 1)))
-    return np.matmul(q1, table.T, out=out)
+    return q1 @ table.T
 
 
 def full_distribution(params: LblParams, contexts: np.ndarray) -> np.ndarray:

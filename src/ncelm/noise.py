@@ -93,18 +93,14 @@ def uniform(v: int) -> NoiseDistribution:
     return _finalize(np.full(v, 1.0 / v))
 
 
-def sample(dist: NoiseDistribution, rng: np.random.Generator, size=None):
-    """Draw word ids with probability dist.probs, O(1) per draw.
-
-    With size=None returns a single int; otherwise an int64 array of the
-    given shape. Deterministic for a fixed generator state.
+def sample(dist: NoiseDistribution, rng: np.random.Generator, size) -> np.ndarray:
+    """Draw an int64 array of word ids of the given shape with
+    probability dist.probs, O(1) per draw. Deterministic for a fixed
+    generator state.
     """
     slots = rng.integers(0, dist.size, size=size)
     u = rng.random(size=size)
-    out = np.where(u < dist.alias_prob[slots], slots, dist.alias_id[slots])
-    if size is None:
-        return int(out)
-    return out
+    return np.where(u < dist.alias_prob[slots], slots, dist.alias_id[slots])
 
 
 def reconstructed_probs(dist: NoiseDistribution) -> np.ndarray:

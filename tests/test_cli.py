@@ -295,3 +295,22 @@ GRADCHECK_SEED0_REPORT = (
 def test_diagnose_gradcheck_report_is_unchanged(capsys):
     assert main(["diagnose", "gradcheck"]) == 0
     assert capsys.readouterr().out == GRADCHECK_SEED0_REPORT
+
+
+# The gaps read random_instance's draws and the enumeration oracles
+# exact_nce_gradient and expected_ml_gradient, digit for digit.
+NCE_LIMIT_SEED0_REPORT = (
+    "seed0_gaps=6.14e-01->2.39e-01->3.83e-02->4.13e-03->4.17e-04\n"
+    "seed1_gaps=6.81e-01->2.16e-01->2.78e-02->2.87e-03->2.87e-04\n"
+    "seed2_gaps=5.82e-01->2.16e-01->3.56e-02->3.87e-03->3.91e-04\n"
+    "seed3_gaps=6.47e-01->1.90e-01->2.46e-02->2.55e-03->2.56e-04\n"
+    "seed4_gaps=7.93e-01->5.08e-01->1.13e-01->1.30e-02->1.32e-03\n"
+    "k_grid=1->10->100->1000->10000\n"
+    "threshold_final_gap=1e-02\n"
+    "status=PASS\n"
+)
+
+
+def test_diagnose_nce_limit_report_is_unchanged(capsys):
+    assert main(["diagnose", "nce-limit"]) == 0
+    assert capsys.readouterr().out == NCE_LIMIT_SEED0_REPORT

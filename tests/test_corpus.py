@@ -52,6 +52,19 @@ def test_build_vocab_orders_by_frequency_then_first_seen():
     assert encode(vocab, ["c", "never-seen"]) == [2, UNK_ID]
 
 
+def test_build_vocab_breaks_ties_by_first_occurrence_not_spelling():
+    # zeta, mu and alpha tie at two; first occurrence orders them zeta,
+    # mu, alpha, spelling alpha, mu, zeta, and max_size cuts the tie.
+    text = "<unk> zeta mu alpha mu zeta alpha beta"
+    vocab = build_vocab((t for t in text.split()), max_size=2)
+    assert vocab.words == [UNK_TOKEN, OOS_TOKEN, "zeta", "mu"]
+    assert vocab.counts.tolist() == [4, 0, 2, 2]
+
+    full = build_vocab((t for t in text.split()))
+    assert full.words[2:] == ["zeta", "mu", "alpha", "beta"]
+    assert full.counts.tolist() == [1, 0, 2, 2, 2, 1]
+
+
 def test_build_vocab_folds_dropped_mass_into_unk():
     tokens = "a a a b b c".split()
     vocab = build_vocab(tokens, min_count=2)
@@ -220,13 +233,14 @@ def test_extract_bidirectional_pairs_matches_a_per_sentence_loop(sentences, half
     _assert_dataset_equals(ds, *_reference_bidirectional_pairs(sentences, half))
 
 
-def test_unigram_counts_from_dataset_and_stream():
+def test_unigram_counts_from_dataset():
     vocab = Vocabulary(words=[UNK_TOKEN, OOS_TOKEN, "a", "b"], counts=[0, 0, 2, 1])
     ds = extract_pairs([[2, 3, 2]], 1)
     assert unigram_counts(ds, vocab).tolist() == [0, 0, 2, 1]
-    assert unigram_counts([3, 3, 0], vocab).tolist() == [1, 0, 0, 2]
-    with pytest.raises(ConfigError):
-        unigram_counts([4], vocab)
+    ds = extract_pairs([[3, 3, 0]], 1)
+    assert unigram_counts(ds, vocab).tolist() == [1, 0, 0, 2]
+    with pytest.raises(ConfigError, match="out of vocabulary range"):
+        unigram_counts(extract_pairs([[2, 4]], 1), vocab)
 
 
 def test_vocab_round_trip(tmp_path):

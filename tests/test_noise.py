@@ -67,10 +67,6 @@ def test_sample_is_deterministic_and_typed():
     assert np.array_equal(a, b)
     assert a.dtype == np.int64
 
-    single = sample(dist, np.random.default_rng(0))
-    assert isinstance(single, int)
-    assert 0 <= single < 5
-
     shaped = sample(dist, np.random.default_rng(1), size=(4, 6))
     assert shaped.shape == (4, 6)
 
